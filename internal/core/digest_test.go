@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"roadside/internal/flow"
+	"roadside/internal/geo"
 	"roadside/internal/graph"
 	"roadside/internal/utility"
 )
@@ -68,6 +70,33 @@ func TestProblemDigestStability(t *testing.T) {
 
 	if _, err := ProblemDigest(&Problem{}); err == nil {
 		t.Error("digest of a nil-field problem should fail")
+	}
+}
+
+// TestProblemDigestRejectsNaNCoordinate: a NaN node coordinate has no
+// interchange encoding, so the problem has no digest.
+func TestProblemDigestRejectsNaNCoordinate(t *testing.T) {
+	b := graph.NewBuilder(2, 2)
+	b.AddNode(geo.Pt(0, 0))
+	b.AddNode(geo.Pt(math.NaN(), 1))
+	if err := b.AddStreet(0, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := flow.New("a", []graph.NodeID{0, 1}, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows, err := flow.NewSet([]flow.Flow{f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &Problem{Graph: g, Shop: 1, Flows: flows, Utility: utility.Linear{D: 10}, K: 1}
+	if d, err := ProblemDigest(p); err == nil {
+		t.Fatalf("digest %q of a NaN-coordinate problem, want an error", d)
 	}
 }
 

@@ -114,13 +114,15 @@ func NewSet(flows []Flow) (*Set, error) {
 		if len(f.Path) < 2 {
 			return nil, fmt.Errorf("%w: flow %d (%q)", ErrBadPath, i, f.ID)
 		}
-		seen := make(map[graph.NodeID]bool, len(f.Path))
 		for pos, v := range f.Path {
-			if seen[v] {
+			// Flows are indexed in order, so flow i has already visited v
+			// exactly when v's newest visit is flow i's: the index itself
+			// is the seen-set, shared by every flow.
+			vs := s.byNode[v]
+			if n := len(vs); n > 0 && vs[n-1].Flow == i {
 				continue
 			}
-			seen[v] = true
-			s.byNode[v] = append(s.byNode[v], Visit{Flow: i, Pos: pos})
+			s.byNode[v] = append(vs, Visit{Flow: i, Pos: pos})
 		}
 	}
 	return s, nil

@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// FuzzFlowIO feeds arbitrary bytes through ReadJSON. Decodable inputs
-// must round-trip through WriteJSON/ReadJSON to the same canonical bytes;
+// FuzzFlowIO feeds arbitrary bytes through ReadJSON. Decoding must agree
+// with the reflection oracle, and the encoding of a decoded set must be
+// the oracle's byte for byte. Decodable inputs must round-trip through WriteJSON/ReadJSON to the same canonical bytes;
 // everything else must come back as an error, never a panic.
 func FuzzFlowIO(f *testing.F) {
 	f.Add([]byte(`[{"id":"f1","path":[0,1,2],"volume":10,"alpha":0.5}]`))
@@ -17,6 +18,7 @@ func FuzzFlowIO(f *testing.F) {
 	f.Add([]byte(`{`))
 	f.Add([]byte(`null`))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstOracle(t, data)
 		s, err := ReadJSON(bytes.NewReader(data))
 		if err != nil {
 			return // malformed input must error, not panic

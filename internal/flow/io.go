@@ -1,44 +1,92 @@
 package flow
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 
 	"roadside/internal/graph"
+	"roadside/internal/wire"
 )
 
-// jsonFlow is the serialized form of a flow. The format is stable and
-// consumed by the cmd tools so expensive map-matching runs can be cached.
+// The JSON interchange format of a Set is the flow list, stable and
+// consumed by the cmd tools so expensive map-matching runs can be cached:
+//
+//	[{"id":"f1","path":[0,1,2],"volume":10,"alpha":0.5},...]
+//
+// The bytes are exactly what encoding/json writes for the equivalent
+// structs, and decoding accepts exactly what encoding/json accepts for
+// them.
+
 type jsonFlow struct {
-	ID     string         `json:"id"`
-	Path   []graph.NodeID `json:"path"`
-	Volume float64        `json:"volume"`
-	Alpha  float64        `json:"alpha"`
+	ID     string
+	Path   []graph.NodeID
+	Volume float64
+	Alpha  float64
 }
 
-// WriteJSON serializes the set's flows.
-func (s *Set) WriteJSON(w io.Writer) error {
-	out := make([]jsonFlow, 0, s.Len())
-	for _, f := range s.flows {
-		out = append(out, jsonFlow{
-			ID:     f.ID,
-			Path:   f.Path,
-			Volume: f.Volume,
-			Alpha:  f.Alpha,
-		})
+var flowKeys = wire.NewKeys("id", "path", "volume", "alpha")
+
+// AppendJSON appends the set's flows in the JSON interchange format (no
+// trailing newline).
+func (s *Set) AppendJSON(dst []byte) []byte {
+	dst = append(dst, '[')
+	for i, f := range s.flows {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"id":`...)
+		dst = wire.AppendString(dst, f.ID)
+		dst = append(dst, `,"path":[`...)
+		for j, v := range f.Path {
+			if j > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(dst, int64(v), 10)
+		}
+		dst = append(dst, `],"volume":`...)
+		//lint:ignore errdrop volume is finite by construction (New, NewSetSharedIndex)
+		dst, _ = wire.AppendFloat(dst, f.Volume)
+		dst = append(dst, `,"alpha":`...)
+		//lint:ignore errdrop alpha is in [0, 1] by construction (New, NewSetSharedIndex)
+		dst, _ = wire.AppendFloat(dst, f.Alpha)
+		dst = append(dst, '}')
 	}
-	if err := json.NewEncoder(w).Encode(out); err != nil {
+	return append(dst, ']')
+}
+
+// WriteJSON writes the set's flows in the JSON interchange format
+// followed by a newline.
+func (s *Set) WriteJSON(w io.Writer) error {
+	if _, err := w.Write(append(s.AppendJSON(nil), '\n')); err != nil {
 		return fmt.Errorf("flow: encode: %w", err)
 	}
 	return nil
 }
 
-// ReadJSON parses flows written by WriteJSON and rebuilds the set,
-// re-validating every flow.
-func ReadJSON(r io.Reader) (*Set, error) {
+// DecodeJSON parses flows in the JSON interchange format and rebuilds the
+// set, validating every flow through New and NewSet. data must hold
+// exactly one JSON value, optionally surrounded by whitespace.
+func DecodeJSON(data []byte) (*Set, error) {
 	var in []jsonFlow
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
+	d := wire.NewDecoder(data)
+	err := wire.Slice(d, &in, func(jf *jsonFlow) error {
+		return d.Object(flowKeys, func(name string) error {
+			switch name {
+			case "id":
+				return d.String(&jf.ID)
+			case "path":
+				return wire.Ints(d, &jf.Path)
+			case "volume":
+				return d.Float(&jf.Volume)
+			}
+			return d.Float(&jf.Alpha)
+		})
+	})
+	if err == nil {
+		err = d.End()
+	}
+	if err != nil {
 		return nil, fmt.Errorf("flow: decode: %w", err)
 	}
 	flows := make([]Flow, 0, len(in))
@@ -50,4 +98,14 @@ func ReadJSON(r io.Reader) (*Set, error) {
 		flows = append(flows, f)
 	}
 	return NewSet(flows)
+}
+
+// ReadJSON reads all of r and decodes it with DecodeJSON; data after the
+// flow list other than whitespace is an error.
+func ReadJSON(r io.Reader) (*Set, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("flow: read: %w", err)
+	}
+	return DecodeJSON(data)
 }

@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-// FuzzGraphJSONRoundTrip feeds arbitrary bytes through ReadJSON. Inputs
-// that decode must survive encode/decode unchanged (canonical form is a
-// fixed point); inputs that do not decode must return an error rather
-// than panic.
+// FuzzGraphJSONRoundTrip feeds arbitrary bytes through ReadJSON. Decoding
+// must agree with the reflection oracle, and the encoding of a decoded
+// graph must be the oracle's byte for byte. Inputs that decode must
+// survive encode/decode unchanged (canonical form is a fixed point);
+// inputs that do not decode must return an error rather than panic.
 func FuzzGraphJSONRoundTrip(f *testing.F) {
 	f.Add([]byte(`{"nodes":[{"x":0,"y":0},{"x":1,"y":1}],"edges":[{"from":0,"to":1,"weight":5}]}`))
 	f.Add([]byte(`{"nodes":[],"edges":[]}`))
@@ -18,6 +19,7 @@ func FuzzGraphJSONRoundTrip(f *testing.F) {
 	f.Add([]byte(`{`))
 	f.Add([]byte(`null`))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstOracle(t, data)
 		g, err := ReadJSON(bytes.NewReader(data))
 		if err != nil {
 			return // malformed input must error, not panic

@@ -1,7 +1,6 @@
 package invariant
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -54,12 +53,9 @@ type Repro struct {
 // FromInstance captures a failing instance as a repro artifact.
 func FromInstance(inst *Instance, invName string, failure error) (*Repro, error) {
 	p := inst.Problem
-	var gbuf, fbuf bytes.Buffer
-	if err := p.Graph.WriteJSON(&gbuf); err != nil {
+	g, err := p.Graph.AppendJSON(nil)
+	if err != nil {
 		return nil, fmt.Errorf("invariant: capture graph: %w", err)
-	}
-	if err := p.Flows.WriteJSON(&fbuf); err != nil {
-		return nil, fmt.Errorf("invariant: capture flows: %w", err)
 	}
 	msg := ""
 	if failure != nil {
@@ -78,8 +74,8 @@ func FromInstance(inst *Instance, invName string, failure error) (*Repro, error)
 		Shop:       p.Shop,
 		ExtraShops: append([]graph.NodeID(nil), p.ExtraShops...),
 		Candidates: append([]graph.NodeID(nil), p.Candidates...),
-		Graph:      json.RawMessage(bytes.TrimSpace(gbuf.Bytes())),
-		Flows:      json.RawMessage(bytes.TrimSpace(fbuf.Bytes())),
+		Graph:      g,
+		Flows:      p.Flows.AppendJSON(nil),
 	}, nil
 }
 
@@ -117,11 +113,11 @@ func Decode(data []byte) (*Repro, error) {
 
 // Instance reconstructs the embedded problem instance, re-validating it.
 func (r *Repro) Instance() (*Instance, error) {
-	g, err := graph.ReadJSON(bytes.NewReader(r.Graph))
+	g, err := graph.DecodeJSON(r.Graph)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSchema, err)
 	}
-	flows, err := flow.ReadJSON(bytes.NewReader(r.Flows))
+	flows, err := flow.DecodeJSON(r.Flows)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSchema, err)
 	}

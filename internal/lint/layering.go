@@ -11,11 +11,6 @@ import (
 // import. The root package is the only public surface, so examples must
 // depend on it alone.
 var layerRules = map[string][]string{
-	"internal/obs": {
-		"internal/graph", "internal/geo", "internal/utility", "internal/core",
-		"internal/experiment", "internal/baseline", "internal/par", "internal/flow",
-		"internal/serve",
-	},
 	"internal/graph":   {"internal/core", "internal/experiment", "internal/baseline"},
 	"internal/geo":     {"internal/core", "internal/experiment", "internal/baseline"},
 	"internal/utility": {"internal/core", "internal/experiment", "internal/baseline"},
@@ -61,13 +56,25 @@ var layerRules = map[string][]string{
 func init() {
 	Register(&Analyzer{
 		Name: "layering",
-		Doc:  "enforces the package DAG: obs (stdlib-only) at the bottom so every layer can report into it, graph/geo/utility below core, core below experiment/baseline, examples on the root only",
+		Doc:  "enforces the package DAG: obs and wire (stdlib-only) at the bottom so every layer can use them, graph/geo/utility below core, core below experiment/baseline, examples on the root only",
 		Run:  runLayering,
 	})
 }
 
+// stdlibOnly packages sit at the bottom of the DAG and import nothing
+// from the module: obs so every layer can report into it, wire because
+// the graph, flow and serve codecs are built on it.
+var stdlibOnly = map[string]bool{"internal/obs": true, "internal/wire": true}
+
 func runLayering(p *Pass) {
 	module, rel := splitModulePath(p.Pkg.Path)
+	if stdlibOnly[rel] {
+		for _, imp := range p.Pkg.Imports {
+			if impModule, impRel := splitModulePath(imp); impModule == module && impRel != "" {
+				p.Reportf(importPos(p, imp), "layer violation: %s must not import %s", rel, impRel)
+			}
+		}
+	}
 	if forbidden, ok := layerRules[rel]; ok {
 		for _, imp := range p.Pkg.Imports {
 			_, impRel := splitModulePath(imp)

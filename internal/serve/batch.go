@@ -2,13 +2,13 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"runtime"
 
 	"roadside/internal/core"
 	"roadside/internal/graph"
 	"roadside/internal/par"
+	"roadside/internal/wire"
 )
 
 // DefaultMaxBatchItems caps how many queries one /v1/batch request may
@@ -35,6 +35,30 @@ type BatchRequest struct {
 	Digest    string      `json:"digest,omitempty"`
 	Items     []BatchItem `json:"items"`
 	TimeoutMS float64     `json:"timeout_ms,omitempty"`
+}
+
+var (
+	batchKeys     = requestKeys("digest", "items", "timeout_ms")
+	batchItemKeys = wire.NewKeys("k", "algo")
+)
+
+func (req *BatchRequest) wireField(d *wire.Decoder, name string) error {
+	switch name {
+	case "digest":
+		return d.String(&req.Digest)
+	case "items":
+		return wire.Slice(d, &req.Items, func(it *BatchItem) error {
+			return d.Object(batchItemKeys, func(name string) error {
+				if name == "k" {
+					return wire.Int(d, &it.K)
+				}
+				return d.String(&it.Algo)
+			})
+		})
+	case "timeout_ms":
+		return d.Float(&req.TimeoutMS)
+	}
+	return req.ProblemSpec.wireField(d, name)
 }
 
 // BatchItemResult is one item's answer. Either the placement fields are set
@@ -66,8 +90,8 @@ type BatchResponse struct {
 // execution so one bad item cannot sink its neighbours.
 func decodeBatchRequest(body []byte, maxItems int) (*BatchRequest, *core.Problem, *APIError) {
 	var req BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, nil, errorf(http.StatusBadRequest, CodeBadJSON, "%v", err)
+	if apiErr := decodeBody(body, batchKeys, req.wireField); apiErr != nil {
+		return nil, nil, apiErr
 	}
 	if len(req.Items) == 0 {
 		return nil, nil, errorf(http.StatusUnprocessableEntity, CodeBadBatch, "empty item list")

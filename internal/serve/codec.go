@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,6 +10,7 @@ import (
 	"roadside/internal/flow"
 	"roadside/internal/graph"
 	"roadside/internal/utility"
+	"roadside/internal/wire"
 )
 
 // The wire format. A problem travels exactly like a roadside-repro/v1
@@ -19,6 +19,14 @@ import (
 // shop branches and candidate restriction. Responses carry the problem's
 // digest and how the cache answered, so clients and load tests can audit
 // coalescing externally.
+//
+// Request bodies are decoded by the wire package in one walk: each
+// request type's wireField method decodes the members its key table
+// selects, the graph and flows are captured as extents of the body and
+// handed to their codecs by decodeProblem, and everything is accepted
+// exactly as encoding/json would accept it into the tagged structs below.
+// The structs keep their json tags for clients that build bodies with
+// encoding/json.
 
 // ProblemSpec is the problem section shared by every solve endpoint.
 type ProblemSpec struct {
@@ -37,22 +45,63 @@ func ProblemSpecOf(p *core.Problem) (ProblemSpec, error) {
 	if p == nil || p.Graph == nil || p.Flows == nil || p.Utility == nil {
 		return spec, core.ErrNilField
 	}
-	var gbuf, fbuf bytes.Buffer
-	if err := p.Graph.WriteJSON(&gbuf); err != nil {
+	g, err := p.Graph.AppendJSON(nil)
+	if err != nil {
 		return spec, fmt.Errorf("serve: encode graph: %w", err)
 	}
-	if err := p.Flows.WriteJSON(&fbuf); err != nil {
-		return spec, fmt.Errorf("serve: encode flows: %w", err)
-	}
 	return ProblemSpec{
-		Graph:      json.RawMessage(bytes.TrimSpace(gbuf.Bytes())),
-		Flows:      json.RawMessage(bytes.TrimSpace(fbuf.Bytes())),
+		Graph:      g,
+		Flows:      p.Flows.AppendJSON(nil),
 		Utility:    p.Utility.Name(),
 		UtilityD:   p.Utility.Threshold(),
 		Shop:       p.Shop,
 		ExtraShops: append([]graph.NodeID(nil), p.ExtraShops...),
 		Candidates: append([]graph.NodeID(nil), p.Candidates...),
 	}, nil
+}
+
+// problemKeys are ProblemSpec's wire fields; each request's key table
+// adds its own.
+var problemKeys = []string{"graph", "flows", "utility", "utility_d", "shop", "extra_shops", "candidates"}
+
+func requestKeys(own ...string) *wire.Keys {
+	return wire.NewKeys(append(append([]string(nil), problemKeys...), own...)...)
+}
+
+// wireField decodes the ProblemSpec member name, one of problemKeys.
+func (spec *ProblemSpec) wireField(d *wire.Decoder, name string) error {
+	var err error
+	switch name {
+	case "graph":
+		spec.Graph, err = d.Raw()
+	case "flows":
+		spec.Flows, err = d.Raw()
+	case "utility":
+		err = d.String(&spec.Utility)
+	case "utility_d":
+		err = d.Float(&spec.UtilityD)
+	case "shop":
+		err = wire.Int(d, &spec.Shop)
+	case "extra_shops":
+		err = wire.Ints(d, &spec.ExtraShops)
+	default:
+		err = wire.Ints(d, &spec.Candidates)
+	}
+	return err
+}
+
+// decodeBody walks a request body once, handing each member keys selects
+// to field; any grammar or type error is bad_json.
+func decodeBody(body []byte, keys *wire.Keys, field func(d *wire.Decoder, name string) error) *APIError {
+	d := wire.NewDecoder(body)
+	err := d.Object(keys, func(name string) error { return field(d, name) })
+	if err == nil {
+		err = d.End()
+	}
+	if err != nil {
+		return errorf(http.StatusBadRequest, CodeBadJSON, "%v", err)
+	}
+	return nil
 }
 
 // PlaceRequest asks for an optimized placement.
@@ -71,6 +120,22 @@ type PlaceRequest struct {
 	// TimeoutMS optionally lowers the per-request deadline below the
 	// server's ceiling.
 	TimeoutMS float64 `json:"timeout_ms,omitempty"`
+}
+
+var placeKeys = requestKeys("k", "algo", "digest", "timeout_ms")
+
+func (req *PlaceRequest) wireField(d *wire.Decoder, name string) error {
+	switch name {
+	case "k":
+		return wire.Int(d, &req.K)
+	case "algo":
+		return d.String(&req.Algo)
+	case "digest":
+		return d.String(&req.Digest)
+	case "timeout_ms":
+		return d.Float(&req.TimeoutMS)
+	}
+	return req.ProblemSpec.wireField(d, name)
 }
 
 // PlaceResponse is the solved placement.
@@ -92,6 +157,20 @@ type EvaluateRequest struct {
 	Placement []graph.NodeID `json:"placement"`
 	Digest    string         `json:"digest,omitempty"`
 	TimeoutMS float64        `json:"timeout_ms,omitempty"`
+}
+
+var evaluateKeys = requestKeys("placement", "digest", "timeout_ms")
+
+func (req *EvaluateRequest) wireField(d *wire.Decoder, name string) error {
+	switch name {
+	case "placement":
+		return wire.Ints(d, &req.Placement)
+	case "digest":
+		return d.String(&req.Digest)
+	case "timeout_ms":
+		return d.Float(&req.TimeoutMS)
+	}
+	return req.ProblemSpec.wireField(d, name)
 }
 
 // FlowAttraction is one flow's share of an evaluated placement. Covered
@@ -122,6 +201,20 @@ type DetourRequest struct {
 	Nodes     []graph.NodeID `json:"nodes"`
 	Digest    string         `json:"digest,omitempty"`
 	TimeoutMS float64        `json:"timeout_ms,omitempty"`
+}
+
+var detourKeys = requestKeys("nodes", "digest", "timeout_ms")
+
+func (req *DetourRequest) wireField(d *wire.Decoder, name string) error {
+	switch name {
+	case "nodes":
+		return wire.Ints(d, &req.Nodes)
+	case "digest":
+		return d.String(&req.Digest)
+	case "timeout_ms":
+		return d.Float(&req.TimeoutMS)
+	}
+	return req.ProblemSpec.wireField(d, name)
 }
 
 // NodeDetours is one queried intersection: which flows pass it and at what
@@ -160,6 +253,26 @@ type FlowUpdateSpec struct {
 	Alpha  float64        `json:"alpha,omitempty"`
 }
 
+var flowUpdateKeys = wire.NewKeys("op", "flow", "volume", "id", "path", "alpha")
+
+func (spec *FlowUpdateSpec) wireDecode(d *wire.Decoder) error {
+	return d.Object(flowUpdateKeys, func(name string) error {
+		switch name {
+		case "op":
+			return d.String(&spec.Op)
+		case "flow":
+			return wire.Int(d, &spec.Flow)
+		case "volume":
+			return d.Float(&spec.Volume)
+		case "id":
+			return d.String(&spec.ID)
+		case "path":
+			return wire.Ints(d, &spec.Path)
+		}
+		return d.Float(&spec.Alpha)
+	})
+}
+
 // UpdateRequest evolves a cached engine in place of a full rebuild. Digest
 // is required: a base digest updates the lineage's latest sequence, an
 // explicit "base@seq" is a compare-and-swap that fails with stale_digest
@@ -170,6 +283,18 @@ type UpdateRequest struct {
 	Digest    string           `json:"digest"`
 	Updates   []FlowUpdateSpec `json:"updates"`
 	TimeoutMS float64          `json:"timeout_ms,omitempty"`
+}
+
+var updateKeys = wire.NewKeys("digest", "updates", "timeout_ms")
+
+func (req *UpdateRequest) wireField(d *wire.Decoder, name string) error {
+	switch name {
+	case "digest":
+		return d.String(&req.Digest)
+	case "updates":
+		return wire.Slice(d, &req.Updates, func(u *FlowUpdateSpec) error { return u.wireDecode(d) })
+	}
+	return d.Float(&req.TimeoutMS)
 }
 
 // UpdateResponse reports the lineage's new head. Digest is the derived
@@ -226,11 +351,11 @@ func decodeProblem(spec *ProblemSpec, k int) (*core.Problem, *APIError) {
 	if len(spec.Flows) == 0 {
 		return nil, errorf(http.StatusUnprocessableEntity, CodeBadFlows, "missing flows")
 	}
-	g, err := graph.ReadJSON(bytes.NewReader(spec.Graph))
+	g, err := graph.DecodeJSON(spec.Graph)
 	if err != nil {
 		return nil, errorf(http.StatusUnprocessableEntity, CodeBadGraph, "graph: %v", err)
 	}
-	flows, err := flow.ReadJSON(bytes.NewReader(spec.Flows))
+	flows, err := flow.DecodeJSON(spec.Flows)
 	if err != nil {
 		return nil, errorf(http.StatusUnprocessableEntity, CodeBadFlows, "flows: %v", err)
 	}
@@ -264,8 +389,8 @@ func decodeProblem(spec *ProblemSpec, k int) (*core.Problem, *APIError) {
 // the handler resolves the engine from the cache instead.
 func decodePlaceRequest(body []byte) (*PlaceRequest, *core.Problem, *APIError) {
 	var req PlaceRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, nil, errorf(http.StatusBadRequest, CodeBadJSON, "%v", err)
+	if apiErr := decodeBody(body, placeKeys, req.wireField); apiErr != nil {
+		return nil, nil, apiErr
 	}
 	if req.K < 1 {
 		return nil, nil, errorf(http.StatusUnprocessableEntity, CodeBadBudget, "k=%d, need k >= 1", req.K)
@@ -305,8 +430,8 @@ func validNodes(g *graph.Graph, nodes []graph.NodeID, code, what string) *APIErr
 // digest excludes it, so the engine is shared with placement queries.
 func decodeEvaluateRequest(body []byte) (*EvaluateRequest, *core.Problem, *APIError) {
 	var req EvaluateRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, nil, errorf(http.StatusBadRequest, CodeBadJSON, "%v", err)
+	if apiErr := decodeBody(body, evaluateKeys, req.wireField); apiErr != nil {
+		return nil, nil, apiErr
 	}
 	if req.Digest != "" {
 		return &req, nil, nil
@@ -324,8 +449,8 @@ func decodeEvaluateRequest(body []byte) (*EvaluateRequest, *core.Problem, *APIEr
 // decodeDetourRequest parses and validates a /v1/detour body.
 func decodeDetourRequest(body []byte) (*DetourRequest, *core.Problem, *APIError) {
 	var req DetourRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, nil, errorf(http.StatusBadRequest, CodeBadJSON, "%v", err)
+	if apiErr := decodeBody(body, detourKeys, req.wireField); apiErr != nil {
+		return nil, nil, apiErr
 	}
 	if len(req.Nodes) == 0 {
 		return nil, nil, errorf(http.StatusUnprocessableEntity, CodeBadNodes, "empty node set")
@@ -351,8 +476,8 @@ func decodeDetourRequest(body []byte) (*DetourRequest, *core.Problem, *APIError)
 // beyond this point is bad_update with the lineage untouched.
 func decodeUpdateRequest(body []byte) (*UpdateRequest, []core.FlowUpdate, *APIError) {
 	var req UpdateRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, nil, errorf(http.StatusBadRequest, CodeBadJSON, "%v", err)
+	if apiErr := decodeBody(body, updateKeys, req.wireField); apiErr != nil {
+		return nil, nil, apiErr
 	}
 	if req.Digest == "" {
 		return nil, nil, errorf(http.StatusUnprocessableEntity, CodeBadUpdate,

@@ -19,24 +19,9 @@ import (
 // corpus under testdata/fuzz/FuzzServeRequest seeds the interesting shapes;
 // verify.sh runs this target in its fuzz smoke.
 func FuzzServeRequest(f *testing.F) {
-	spec, err := ProblemSpecOf(testutil.Fig4Problem(f, utility.Linear{D: 10}))
-	if err != nil {
-		f.Fatal(err)
+	for _, seed := range serveSeeds(f) {
+		f.Add(seed)
 	}
-	valid, err := json.Marshal(PlaceRequest{ProblemSpec: spec, K: 2, Algo: "algorithm2"})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	evalBody, err := json.Marshal(EvaluateRequest{ProblemSpec: spec, Placement: []graph.NodeID{2}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(evalBody)
-	f.Add([]byte(`{"k":1}`))
-	f.Add(valid[:len(valid)/2]) // truncated mid-structure
-	f.Add([]byte(`null`))
-	f.Add([]byte(`{"graph":{"version":"bogus"},"flows":[],"k":-1}`))
 
 	srv := New(Config{})
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -94,26 +79,9 @@ func FuzzServeRequest(f *testing.F) {
 // codes, accepted batches answer index-aligned results, and per-item
 // failures stay isolated in their slots.
 func FuzzBatchRequest(f *testing.F) {
-	spec, err := ProblemSpecOf(testutil.Fig4Problem(f, utility.Linear{D: 10}))
-	if err != nil {
-		f.Fatal(err)
+	for _, seed := range batchSeeds(f) {
+		f.Add(seed)
 	}
-	valid, err := json.Marshal(BatchRequest{ProblemSpec: spec, Items: []BatchItem{
-		{K: 1, Algo: "lazy"}, {K: 2, Algo: "algorithm2"}}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	mixed, err := json.Marshal(BatchRequest{ProblemSpec: spec, Items: []BatchItem{
-		{K: 2}, {K: 0}, {K: 1, Algo: "annealing"}}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(mixed)
-	f.Add([]byte(`{"items":[]}`))
-	f.Add([]byte(`{"digest":"rapd1-00","items":[{"k":1}]}`))
-	f.Add(valid[:len(valid)/2]) // truncated mid-structure
-	f.Add([]byte(`null`))
 
 	srv := New(Config{MaxBatchItems: 64})
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -165,32 +133,9 @@ func FuzzBatchRequest(f *testing.F) {
 // panics, rejections carry stable codes, and any accepted job must reach
 // a terminal state (the envelope decoded to real runnable work).
 func FuzzJobsRequest(f *testing.F) {
-	spec, err := ProblemSpecOf(testutil.Fig4Problem(f, utility.Linear{D: 10}))
-	if err != nil {
-		f.Fatal(err)
+	for _, seed := range jobSeeds(f) {
+		f.Add(seed)
 	}
-	inner, err := json.Marshal(PlaceRequest{ProblemSpec: spec, K: 2, Algo: "lazy"})
-	if err != nil {
-		f.Fatal(err)
-	}
-	valid, err := json.Marshal(JobRequest{Kind: "place", Request: inner})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	batchInner, err := json.Marshal(BatchRequest{ProblemSpec: spec, Items: []BatchItem{{K: 1}}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	batchJob, err := json.Marshal(JobRequest{Kind: "batch", Request: batchInner})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(batchJob)
-	f.Add([]byte(`{"kind":"place"}`))
-	f.Add([]byte(`{"kind":"detour","request":{}}`))
-	f.Add(valid[:len(valid)/2]) // truncated mid-structure
-	f.Add([]byte(`null`))
 
 	srv := New(Config{JobQueue: 4096})
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -229,4 +174,85 @@ func FuzzJobsRequest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// serveSeeds, batchSeeds and jobSeeds are the hand-written seed bodies of
+// the request fuzzers, shared with FuzzWireDecode.
+func serveSeeds(tb testing.TB) [][]byte {
+	var seeds [][]byte
+	spec, err := ProblemSpecOf(testutil.Fig4Problem(tb, utility.Linear{D: 10}))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	valid, err := json.Marshal(PlaceRequest{ProblemSpec: spec, K: 2, Algo: "algorithm2"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	seeds = append(seeds, valid)
+	evalBody, err := json.Marshal(EvaluateRequest{ProblemSpec: spec, Placement: []graph.NodeID{2}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	seeds = append(seeds, evalBody)
+	seeds = append(seeds, []byte(`{"k":1}`))
+	seeds = append(seeds, valid[:len(valid)/2]) // truncated mid-structure
+	seeds = append(seeds, []byte(`null`))
+	seeds = append(seeds, []byte(`{"graph":{"version":"bogus"},"flows":[],"k":-1}`))
+	return seeds
+}
+
+func batchSeeds(tb testing.TB) [][]byte {
+	var seeds [][]byte
+	spec, err := ProblemSpecOf(testutil.Fig4Problem(tb, utility.Linear{D: 10}))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	valid, err := json.Marshal(BatchRequest{ProblemSpec: spec, Items: []BatchItem{
+		{K: 1, Algo: "lazy"}, {K: 2, Algo: "algorithm2"}}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	seeds = append(seeds, valid)
+	mixed, err := json.Marshal(BatchRequest{ProblemSpec: spec, Items: []BatchItem{
+		{K: 2}, {K: 0}, {K: 1, Algo: "annealing"}}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	seeds = append(seeds, mixed)
+	seeds = append(seeds, []byte(`{"items":[]}`))
+	seeds = append(seeds, []byte(`{"digest":"rapd1-00","items":[{"k":1}]}`))
+	seeds = append(seeds, valid[:len(valid)/2]) // truncated mid-structure
+	seeds = append(seeds, []byte(`null`))
+	return seeds
+}
+
+func jobSeeds(tb testing.TB) [][]byte {
+	var seeds [][]byte
+	spec, err := ProblemSpecOf(testutil.Fig4Problem(tb, utility.Linear{D: 10}))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	inner, err := json.Marshal(PlaceRequest{ProblemSpec: spec, K: 2, Algo: "lazy"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	valid, err := json.Marshal(JobRequest{Kind: "place", Request: inner})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	seeds = append(seeds, valid)
+	batchInner, err := json.Marshal(BatchRequest{ProblemSpec: spec, Items: []BatchItem{{K: 1}}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	batchJob, err := json.Marshal(JobRequest{Kind: "batch", Request: batchInner})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	seeds = append(seeds, batchJob)
+	seeds = append(seeds, []byte(`{"kind":"place"}`))
+	seeds = append(seeds, []byte(`{"kind":"detour","request":{}}`))
+	seeds = append(seeds, valid[:len(valid)/2]) // truncated mid-structure
+	seeds = append(seeds, []byte(`null`))
+	return seeds
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"roadside/internal/obs"
+	"roadside/internal/wire"
 )
 
 // Defaults for the async job lane (Config fields left zero).
@@ -66,6 +67,43 @@ type JobRequest struct {
 	Kind      string          `json:"kind"`
 	Request   json.RawMessage `json:"request"`
 	TimeoutMS float64         `json:"timeout_ms,omitempty"`
+}
+
+var jobKeys = wire.NewKeys("kind", "request", "timeout_ms")
+
+func (req *JobRequest) wireField(d *wire.Decoder, name string) error {
+	var err error
+	switch name {
+	case "kind":
+		err = d.String(&req.Kind)
+	case "request":
+		req.Request, err = d.Raw()
+	default:
+		err = d.Float(&req.TimeoutMS)
+	}
+	return err
+}
+
+// decodeJobRequest parses a /v1/jobs envelope and checks its kind is
+// registered and its request present; the inner request is decoded by the
+// kind's decoder.
+func decodeJobRequest(body []byte) (*JobRequest, *APIError) {
+	var req JobRequest
+	if apiErr := decodeBody(body, jobKeys, req.wireField); apiErr != nil {
+		return nil, apiErr
+	}
+	if req.Kind == "" {
+		return nil, errorf(http.StatusUnprocessableEntity, CodeBadJob,
+			"missing kind (want one of: %s)", strings.Join(jobKindNames(), ", "))
+	}
+	if _, ok := jobKinds[req.Kind]; !ok {
+		return nil, errorf(http.StatusUnprocessableEntity, CodeBadJob,
+			"unknown kind %q (want one of: %s)", req.Kind, strings.Join(jobKindNames(), ", "))
+	}
+	if len(req.Request) == 0 || string(req.Request) == "null" {
+		return nil, errorf(http.StatusUnprocessableEntity, CodeBadJob, "missing request body for kind %q", req.Kind)
+	}
+	return &req, nil
 }
 
 // JobStatus is the wire shape of one job, returned by submit, status, and
@@ -188,23 +226,11 @@ func (q *jobs) shutdown() {
 // capacity. The caller has already counted the job into the server's
 // in-flight group; on rejection the reservation is released by the caller.
 func (q *jobs) submit(s *Server, body []byte, enqueued time.Time) (*job, *APIError) {
-	var req JobRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, errorf(http.StatusBadRequest, CodeBadJSON, "%v", err)
+	req, apiErr := decodeJobRequest(body)
+	if apiErr != nil {
+		return nil, apiErr
 	}
-	if req.Kind == "" {
-		return nil, errorf(http.StatusUnprocessableEntity, CodeBadJob,
-			"missing kind (want one of: %s)", strings.Join(jobKindNames(), ", "))
-	}
-	decode, ok := jobKinds[req.Kind]
-	if !ok {
-		return nil, errorf(http.StatusUnprocessableEntity, CodeBadJob,
-			"unknown kind %q (want one of: %s)", req.Kind, strings.Join(jobKindNames(), ", "))
-	}
-	if len(req.Request) == 0 || string(req.Request) == "null" {
-		return nil, errorf(http.StatusUnprocessableEntity, CodeBadJob, "missing request body for kind %q", req.Kind)
-	}
-	run, apiErr := decode(s, req.Request)
+	run, apiErr := jobKinds[req.Kind](s, req.Request)
 	if apiErr != nil {
 		return nil, apiErr
 	}

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -17,6 +16,7 @@ import (
 
 	"roadside/internal/core"
 	"roadside/internal/obs"
+	"roadside/internal/wire"
 )
 
 // DefaultRingReplicas is the number of virtual points each shard
@@ -219,43 +219,54 @@ func (r *Router) pick(key string) *routedBackend {
 	return nil
 }
 
-// routeProbe is the minimal decode of a request body needed to find its
-// routing key. Every POST body in the API carries either a digest
-// reference or a full ProblemSpec; job envelopes nest one inside Request.
-type routeProbe struct {
-	Digest  string          `json:"digest"`
-	Graph   json.RawMessage `json:"graph"`
-	Request json.RawMessage `json:"request"`
-	ProblemSpec
-}
+// routeKeys are the members a routing decision reads. Every POST body in
+// the API carries either a digest reference or a full problem; job
+// envelopes nest one inside request.
+var routeKeys = requestKeys("digest", "request")
 
-// routingKey extracts the base-digest routing key from a request body. A
-// digest reference yields its base digest exactly; a full problem is
-// decoded and digested so the follow-up by-reference queries, updates, and
-// lineage digests all hash to the same shard that builds the engine. On
-// any decode failure the raw body itself is the key: the owner shard will
-// produce the canonical error response, and equal bodies still route
-// equally.
+// routingKey extracts the base-digest routing key from a request body in
+// one walk. A digest reference yields its base digest exactly; a full
+// problem is decoded and digested so the follow-up by-reference queries,
+// updates, and lineage digests all hash to the same shard that builds the
+// engine. On any decode failure the raw body itself is the key: the owner
+// shard will produce the canonical error response, and equal bodies still
+// route equally.
 func (r *Router) routingKey(body []byte) string {
-	var probe routeProbe
-	if err := json.Unmarshal(body, &probe); err == nil {
-		if probe.Digest == "" && probe.Graph == nil && len(probe.Request) > 0 {
-			// A job envelope: the key comes from the inner request, so a
-			// job lands on the same shard its synchronous twin would.
-			return r.routingKey(probe.Request)
+	var (
+		spec    ProblemSpec
+		digest  string
+		request []byte
+	)
+	apiErr := decodeBody(body, routeKeys, func(d *wire.Decoder, name string) error {
+		var err error
+		switch name {
+		case "digest":
+			err = d.String(&digest)
+		case "request":
+			request, err = d.Raw()
+		default:
+			err = spec.wireField(d, name)
 		}
-		if probe.Digest != "" {
-			if base, _, err := core.SplitDigest(probe.Digest); err == nil {
-				return base
-			}
-			return probe.Digest
+		return err
+	})
+	if apiErr != nil {
+		return string(body)
+	}
+	if digest == "" && spec.Graph == nil && len(request) > 0 {
+		// A job envelope: the key comes from the inner request, so a job
+		// lands on the same shard its synchronous twin would.
+		return r.routingKey(request)
+	}
+	if digest != "" {
+		if base, _, err := core.SplitDigest(digest); err == nil {
+			return base
 		}
-		if probe.Graph != nil {
-			probe.ProblemSpec.Graph = probe.Graph
-			if p, apiErr := decodeProblem(&probe.ProblemSpec, 1); apiErr == nil {
-				if digest, err := core.ProblemDigest(p); err == nil {
-					return digest
-				}
+		return digest
+	}
+	if spec.Graph != nil {
+		if p, apiErr := decodeProblem(&spec, 1); apiErr == nil {
+			if digest, err := core.ProblemDigest(p); err == nil {
+				return digest
 			}
 		}
 	}

@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -505,6 +507,58 @@ func TestRouterIdenticalAnswerToSingleWorker(t *testing.T) {
 		}
 		if math.Float64bits(a.Attracted) != math.Float64bits(b.Attracted) {
 			t.Fatalf("%s: routed attracted %v, direct %v: not bit-identical", algo, a.Attracted, b.Attracted)
+		}
+	}
+}
+
+// TestRoutingKeyIsBaseDigest: for every golden request and its
+// key-reordered and re-whitespaced twins, the router's key for the full
+// body is the problem's base digest from the golden response, and
+// by-reference requests on that digest (plain and base@seq) pick the same
+// backend as the full body.
+func TestRoutingKeyIsBaseDigest(t *testing.T) {
+	r := newTestRouter(t)
+	for _, ep := range []string{"place", "evaluate", "detour"} {
+		body, err := os.ReadFile("testdata/" + ep + "_fig4_request.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := os.ReadFile("testdata/" + ep + "_fig4_response.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var golden struct {
+			Digest string `json:"digest"`
+		}
+		if err := json.Unmarshal(resp, &golden); err != nil || golden.Digest == "" {
+			t.Fatalf("%s: golden response digest: %v", ep, err)
+		}
+		var members map[string]json.RawMessage
+		if err := json.Unmarshal(body, &members); err != nil {
+			t.Fatal(err)
+		}
+		reordered, err := json.Marshal(members) // keys sorted, whitespace dropped
+		if err != nil {
+			t.Fatal(err)
+		}
+		var spaced bytes.Buffer
+		if err := json.Indent(&spaced, reordered, " \r\n", "\t  "); err != nil {
+			t.Fatal(err)
+		}
+		owner, ok := r.Owner(golden.Digest)
+		if !ok {
+			t.Fatal("no live owner")
+		}
+		for name, twin := range map[string][]byte{"golden": body, "reordered": reordered, "spaced": spaced.Bytes()} {
+			if key := r.routingKey(twin); key != golden.Digest {
+				t.Errorf("%s %s: routing key %q, want base digest %q", ep, name, key, golden.Digest)
+			}
+		}
+		for _, ref := range []string{golden.Digest, golden.Digest + "@3"} {
+			refBody := []byte(`{"digest":"` + ref + `","k":1}`)
+			if got, _ := r.Owner(r.routingKey(refBody)); got != owner {
+				t.Errorf("%s: reference %q routes to %s, full body to %s", ep, ref, got, owner)
+			}
 		}
 	}
 }

@@ -8,7 +8,8 @@
 #      explicit 75% floors from the harness-coverage work; internal/serve
 #      carries an 80% floor from the placement-service work;
 #      internal/model carries an 85% floor from the coverage-economics
-#      work, backed by internal/stats at 90%).
+#      work, backed by internal/stats at 90%; internal/wire carries a 90%
+#      floor from the wire-codec work).
 #
 # The profile is left at ${COVER_PROFILE:-/tmp/coverage.out} so CI can
 # upload it as an artifact. Raise the baseline when coverage improves;
@@ -48,5 +49,6 @@ check_pkg roadside/cmd/bench 75
 check_pkg roadside/internal/serve 80
 check_pkg roadside/internal/model 85
 check_pkg roadside/internal/stats 90
+check_pkg roadside/internal/wire 90
 
 echo "coverage gate: passed (profile at $profile)"
