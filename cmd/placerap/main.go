@@ -21,8 +21,8 @@ import (
 	"os"
 	"strconv"
 
-	"roadside/internal/baseline"
 	"roadside/internal/core"
+	"roadside/internal/experiment"
 	"roadside/internal/flow"
 	"roadside/internal/geo"
 	"roadside/internal/graph"
@@ -280,26 +280,8 @@ func run(args []string) error {
 }
 
 func solve(name string, e *core.Engine, rng *rand.Rand) (*core.Placement, error) {
-	switch name {
-	case "algorithm1":
-		return core.Algorithm1(e)
-	case "algorithm2":
-		return core.Algorithm2(e)
-	case "combined":
-		return core.GreedyCombined(e)
-	case "lazy":
-		return core.GreedyLazy(e)
-	case "exhaustive":
+	if name == "exhaustive" {
 		return opt.Exhaustive(e, opt.Options{})
-	case "maxcardinality":
-		return baseline.MaxCardinality(e)
-	case "maxvehicles":
-		return baseline.MaxVehicles(e)
-	case "maxcustomers":
-		return baseline.MaxCustomers(e)
-	case "random":
-		return baseline.Random(e, rng)
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q", name)
 	}
+	return experiment.Solve(name, e, rng)
 }

@@ -63,7 +63,7 @@ func BudgetedGreedy(e *Engine, bp *BudgetedProblem) (*BudgetedPlacement, error) 
 	}
 	// Phase 1: density greedy under the budget.
 	state := e.newDetourState()
-	placed := make(map[graph.NodeID]bool)
+	placed := e.newPlacedSet()
 	var (
 		nodes []graph.NodeID
 		spent float64
@@ -72,7 +72,7 @@ func BudgetedGreedy(e *Engine, bp *BudgetedProblem) (*BudgetedPlacement, error) 
 		best := graph.Invalid
 		bestDensity := 0.0
 		for _, v := range e.Candidates() {
-			if placed[v] {
+			if placed.has(v) {
 				continue
 			}
 			cost := bp.Costs[v]
@@ -87,7 +87,7 @@ func BudgetedGreedy(e *Engine, bp *BudgetedProblem) (*BudgetedPlacement, error) 
 		if best == graph.Invalid {
 			break // nothing affordable improves the objective
 		}
-		placed[best] = true
+		placed.add(best)
 		state.place(e, best)
 		nodes = append(nodes, best)
 		spent += bp.Costs[best]

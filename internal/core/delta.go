@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"roadside/internal/flow"
@@ -288,24 +289,6 @@ func (e *Engine) curBounds() [][2]int {
 	return b
 }
 
-func boundsEqual(a, b [][2]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// shardIndexForFlow is shardForFlow returning the index instead of the
-// pointer.
-func (e *Engine) shardIndexForFlow(f int) int {
-	return sort.Search(len(e.shards), func(i int) bool { return int(e.shards[i].flowHi) > f })
-}
-
 // writableGain returns shard si's visitGain array, cloning it first when
 // the batch runs copy-on-write and the array is still shared.
 func (m *deltaMut) writableGain(si int) []float64 {
@@ -420,7 +403,7 @@ func (m *deltaMut) removeFlow(f int) error {
 			inc = append(inc, [2]int{blo, bhi})
 		}
 	}
-	if !boundsEqual(fresh, inc) {
+	if !slices.Equal(fresh, inc) {
 		if err := m.reshard(newFlows, fresh, func(i int) ([]graph.NodeID, []float64) {
 			old := i
 			if i >= f {

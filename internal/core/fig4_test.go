@@ -205,3 +205,32 @@ func TestFig4Algorithm2ReducesToAlgorithm1(t *testing.T) {
 		t.Errorf("attracted: alg1 %v vs alg2 %v", a1.Attracted, a2.Attracted)
 	}
 }
+
+// Algorithm 1's coverage rule is not detourState's. Under Threshold{D: 6}
+// flow T5,6 reaches V6 at detour 8: finite, but beyond D, so the visit
+// gains nothing. Algorithm 1 leaves the flow uncovered and still counts
+// its 2 drivers at V5 (detour 6) as uncovered gain; detourState marks the
+// flow covered at the first finite detour and files the same 2 drivers
+// under its covered component. Selecting Algorithm 1's winner by
+// detourState's uncovered part would therefore see 9 at V5, not 11.
+func TestAlgorithm1CoverageRuleBeyondD(t *testing.T) {
+	e, err := NewEngine(fig4Problem(t, utility.Threshold{D: 6}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const v5, v6 = 4, 5
+	cover := &coverState{covered: make([]bool, e.p.Flows.Len())}
+	detour := e.newDetourState()
+	for _, st := range []stepState{cover, detour} {
+		if u, c := st.marginalGain(e, v6); u != 0 || c != 0 {
+			t.Fatalf("%T: V6 gains (%v, %v), want (0, 0): the only visit is beyond D", st, u, c)
+		}
+		st.place(e, v6)
+	}
+	if u, c := cover.marginalGain(e, v5); u != 11 || c != 0 {
+		t.Errorf("coverState at V5 after V6 = (%v, %v), want (11, 0)", u, c)
+	}
+	if u, c := detour.marginalGain(e, v5); u != 9 || c != 2 {
+		t.Errorf("detourState at V5 after V6 = (%v, %v), want (9, 2)", u, c)
+	}
+}

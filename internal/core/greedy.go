@@ -1,30 +1,146 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"roadside/internal/graph"
 	"roadside/internal/obs"
 )
 
-// The greedy solvers share one scan contract: at every step each still-
-// unplaced candidate is evaluated against the current state, and the winner
-// is the candidate with the highest gain, ties broken toward the lowest
-// node ID. The scan fans across GOMAXPROCS workers on large instances and
-// is bit-identical to a serial scan (see scanCandidates), so placements,
-// step gains, and objectives never depend on the worker count.
+// The three eager greedies — Algorithm 1, Algorithm 2 and GreedyCombined —
+// are one step loop, eagerGreedy, run with two parts:
 //
-// All four solvers also share one termination contract: the step loop ends
-// as soon as the winning marginal gain drops to zero (or the candidate set
-// is exhausted), even if budget remains. Submodularity guarantees a zero
+//   - a stepState the candidates' marginal gains are read from: the
+//     engine's detourState (each flow's best detour and banked gain, under
+//     every objective economy) for Algorithm 2 and GreedyCombined, and
+//     Algorithm 1's coverState, which marks a flow covered only once a
+//     placed visit has a positive gain (DESIGN.md records why the two
+//     stay separate).
+//   - a stepRule that picks each step's winner from the scan's argmaxes
+//     and names the solver to the step observer.
+//
+// Every step scans each unplaced candidate against the current state;
+// argmaxes go to the highest gain, ties to the lowest node ID. The scan
+// fans across workers on large instances and is bit-identical to a serial
+// scan (see scanCandidates), so no result depends on the worker count.
+//
+// All four solvers share one termination contract: the step loop ends as
+// soon as the winning marginal gain drops to zero (or the candidate set is
+// exhausted), even if budget remains. Submodularity guarantees a zero
 // winner stays zero forever, so continuing could only pad Nodes/StepGains
 // with dead entries — and would break the documented equivalence between
 // GreedyLazy (which prunes zero-gain heap entries) and GreedyCombined.
 // Placements may therefore be shorter than K; every recorded step gain is
-// strictly positive.
-//
-// Each placed step is reported to the engine's obs.StepObserver with the
-// measured scan work; the default no-op observer keeps this free.
+// strictly positive. Each placed step is reported to the engine's
+// obs.StepObserver with the measured scan work; the default no-op observer
+// keeps this free. The solver table at the end of this file is the one
+// place a solver name maps to its implementation.
+
+// stepState is what an eager greedy scans and advances. marginalGain is a
+// pure read returning the uncovered-flow and covered-flow gain parts.
+type stepState interface {
+	marginalGain(e *Engine, v graph.NodeID) (u, c float64)
+	place(e *Engine, v graph.NodeID)
+}
+
+// coverState is Algorithm 1's weighted maximum-coverage state: only flows
+// no placed RAP attracts a driver from count, so c is always zero.
+type coverState struct {
+	covered []bool
+}
+
+func (s *coverState) marginalGain(e *Engine, v graph.NodeID) (u, c float64) {
+	for si := range e.shards {
+		sh := &e.shards[si]
+		lo, hi := sh.visitRange(v)
+		for i := lo; i < hi; i++ {
+			if !s.covered[sh.visitFlow[i]] {
+				u += sh.visitGain[i]
+			}
+		}
+	}
+	return u, 0
+}
+
+func (s *coverState) place(e *Engine, v graph.NodeID) {
+	for si := range e.shards {
+		sh := &e.shards[si]
+		lo, hi := sh.visitRange(v)
+		for i := lo; i < hi; i++ {
+			if sh.visitGain[i] > 0 {
+				s.covered[sh.visitFlow[i]] = true
+			}
+		}
+	}
+}
+
+// stepRule is how one eager greedy picks each step's winner from a scan.
+type stepRule struct {
+	solver string // the obs.SolverStep solver name
+	kinds  bool   // record Placement.StepKinds (Algorithm 2 only)
+	// pick returns the winner and, for rules recording kinds, its kind.
+	pick func(b *scanBest) (w scanned, kind string)
+}
+
+var (
+	coverageRule = &stepRule{solver: "algorithm1",
+		pick: func(b *scanBest) (scanned, string) { return b.byU, "" }}
+	compositeRule = &stepRule{solver: "algorithm2", kinds: true, pick: pickComposite}
+	combinedRule  = &stepRule{solver: "combined",
+		pick: func(b *scanBest) (scanned, string) { return b.bySum, "" }}
+)
+
+// pickComposite is Algorithm 2's rule: the better of candidate (i), the
+// most uncovered gain, and candidate (ii), the most covered gain. Ties
+// favor covering new flows, which matches the paper's presentation order.
+// Both components are non-negative, so the winner's total is zero exactly
+// when both candidates' own gains are: the driver's zero-gain stop is the
+// paper's "both candidates gain nothing".
+func pickComposite(b *scanBest) (scanned, string) {
+	if b.byC.c > b.byU.u {
+		return b.byC, StepKindCovered
+	}
+	return b.byU, StepKindUncovered
+}
+
+// eagerGreedy is the step loop: scan, pick, stop on a zero (or, for an
+// exhausted candidate set, -Inf) total gain, place, record. The scan's
+// (uncovered, covered) pair is the winner's step gain; nothing is
+// re-evaluated.
+func (e *Engine) eagerGreedy(workers int, st stepState, rule *stepRule) *Placement {
+	k := e.p.K
+	placed := e.newPlacedSet()
+	result := &Placement{
+		Nodes:     make([]graph.NodeID, 0, k),
+		StepGains: make([]float64, 0, k),
+	}
+	if rule.kinds {
+		result.StepKinds = make([]string, 0, k)
+	}
+	o := e.observer()
+	for step := 0; step < k; step++ {
+		scan, ss := e.scanCandidates(workers, placed, st)
+		w, kind := rule.pick(&scan)
+		gain := w.u + w.c
+		if gain <= 0 {
+			break
+		}
+		placed.add(w.node)
+		st.place(e, w.node)
+		result.Nodes = append(result.Nodes, w.node)
+		result.StepGains = append(result.StepGains, gain)
+		if rule.kinds {
+			result.StepKinds = append(result.StepKinds, kind)
+		}
+		o.SolverStep(obs.SolverStep{
+			Solver: rule.solver, Step: step, Node: int64(w.node),
+			Gain: gain, Kind: kind, Scanned: ss.evaluated, Chunks: ss.chunks,
+		})
+	}
+	result.Attracted = e.Evaluate(result.Nodes)
+	return result
+}
 
 // Algorithm1 is the paper's Algorithm 1: the classic greedy for weighted
 // maximum coverage. At each of the k steps it places a RAP at the
@@ -35,56 +151,13 @@ import (
 // the "coverage factor only" ablation. It stops early once no candidate
 // attracts drivers from any uncovered flow.
 func Algorithm1(e *Engine) (*Placement, error) {
-	return algorithm1(e, defaultWorkers())
+	return Algorithm1Workers(e, defaultWorkers())
 }
 
-func algorithm1(e *Engine, workers int) (*Placement, error) {
-	p := e.p
-	covered := make([]bool, p.Flows.Len())
-	placed := e.newPlacedSet()
-	result := &Placement{
-		Nodes:     make([]graph.NodeID, 0, p.K),
-		StepGains: make([]float64, 0, p.K),
-	}
-	coverageGain := func(v graph.NodeID) (float64, float64) {
-		var gain float64
-		for si := range e.shards {
-			sh := &e.shards[si]
-			lo, hi := sh.visitRange(v)
-			for i := lo; i < hi; i++ {
-				if !covered[sh.visitFlow[i]] {
-					gain += sh.visitGain[i]
-				}
-			}
-		}
-		return gain, 0
-	}
-	o := e.observer()
-	for step := 0; step < p.K; step++ {
-		scan, st := e.scanCandidates(workers, placed, coverageGain)
-		best := scan.byU
-		if best.node == graph.Invalid || best.u <= 0 {
-			break // candidate set exhausted or only zero-gain candidates left
-		}
-		placed.add(best.node)
-		result.Nodes = append(result.Nodes, best.node)
-		result.StepGains = append(result.StepGains, best.u)
-		for si := range e.shards {
-			sh := &e.shards[si]
-			lo, hi := sh.visitRange(best.node)
-			for i := lo; i < hi; i++ {
-				if sh.visitGain[i] > 0 {
-					covered[sh.visitFlow[i]] = true
-				}
-			}
-		}
-		o.SolverStep(obs.SolverStep{
-			Solver: "algorithm1", Step: step, Node: int64(best.node),
-			Gain: best.u, Scanned: st.evaluated, Chunks: st.chunks,
-		})
-	}
-	result.Attracted = e.Evaluate(result.Nodes)
-	return result, nil
+// Algorithm1Workers is Algorithm1 with an explicit scan worker count.
+func Algorithm1Workers(e *Engine, workers int) (*Placement, error) {
+	cover := &coverState{covered: make([]bool, e.p.Flows.Len())}
+	return e.eagerGreedy(workers, cover, coverageRule), nil
 }
 
 // Candidate kinds recorded by Algorithm2.
@@ -103,53 +176,12 @@ const (
 // ii always gains zero). It stops early once both candidates' gains drop
 // to zero — i.e. every remaining intersection has zero marginal gain.
 func Algorithm2(e *Engine) (*Placement, error) {
-	return algorithm2(e, defaultWorkers())
+	return Algorithm2Workers(e, defaultWorkers())
 }
 
-func algorithm2(e *Engine, workers int) (*Placement, error) {
-	p := e.p
-	state := e.newDetourState()
-	placed := e.newPlacedSet()
-	result := &Placement{
-		Nodes:     make([]graph.NodeID, 0, p.K),
-		StepGains: make([]float64, 0, p.K),
-		StepKinds: make([]string, 0, p.K),
-	}
-	gains := func(v graph.NodeID) (float64, float64) { return state.marginalGain(e, v) }
-	o := e.observer()
-	for step := 0; step < p.K; step++ {
-		scan, st := e.scanCandidates(workers, placed, gains)
-		candI, candII := scan.byU, scan.byC
-		if candI.node == graph.Invalid && candII.node == graph.Invalid {
-			break
-		}
-		// candI maximizes the uncovered gain and candII the covered gain,
-		// so when both maxima are zero every remaining candidate's total
-		// marginal gain is zero and no further step can add value.
-		if candI.u <= 0 && candII.c <= 0 {
-			break
-		}
-		// Pick the better candidate; ties favor covering new flows, which
-		// matches the paper's presentation order. The scan already produced
-		// the winner's full (uncovered, covered) pair, so its step gain is
-		// carried through instead of being recomputed.
-		chosen, kind := candI, StepKindUncovered
-		if candII.c > candI.u {
-			chosen, kind = candII, StepKindCovered
-		}
-		placed.add(chosen.node)
-		state.place(e, chosen.node)
-		result.Nodes = append(result.Nodes, chosen.node)
-		result.StepGains = append(result.StepGains, chosen.u+chosen.c)
-		result.StepKinds = append(result.StepKinds, kind)
-		o.SolverStep(obs.SolverStep{
-			Solver: "algorithm2", Step: step, Node: int64(chosen.node),
-			Gain: chosen.u + chosen.c, Kind: kind,
-			Scanned: st.evaluated, Chunks: st.chunks,
-		})
-	}
-	result.Attracted = e.Evaluate(result.Nodes)
-	return result, nil
+// Algorithm2Workers is Algorithm2 with an explicit scan worker count.
+func Algorithm2Workers(e *Engine, workers int) (*Placement, error) {
+	return e.eagerGreedy(workers, e.newDetourState(), compositeRule), nil
 }
 
 // GreedyCombined is the natural single-objective greedy discussed in
@@ -161,36 +193,13 @@ func algorithm2(e *Engine, workers int) (*Placement, error) {
 // once the best total marginal gain is zero, so its placement stays
 // step-for-step comparable with GreedyLazy's pruned heap.
 func GreedyCombined(e *Engine) (*Placement, error) {
-	return greedyCombined(e, defaultWorkers())
+	return GreedyCombinedWorkers(e, defaultWorkers())
 }
 
-func greedyCombined(e *Engine, workers int) (*Placement, error) {
-	p := e.p
-	state := e.newDetourState()
-	placed := e.newPlacedSet()
-	result := &Placement{
-		Nodes:     make([]graph.NodeID, 0, p.K),
-		StepGains: make([]float64, 0, p.K),
-	}
-	gains := func(v graph.NodeID) (float64, float64) { return state.marginalGain(e, v) }
-	o := e.observer()
-	for step := 0; step < p.K; step++ {
-		scan, st := e.scanCandidates(workers, placed, gains)
-		best := scan.bySum
-		if best.node == graph.Invalid || best.u+best.c <= 0 {
-			break // candidate set exhausted or only zero-gain candidates left
-		}
-		placed.add(best.node)
-		state.place(e, best.node)
-		result.Nodes = append(result.Nodes, best.node)
-		result.StepGains = append(result.StepGains, best.u+best.c)
-		o.SolverStep(obs.SolverStep{
-			Solver: "combined", Step: step, Node: int64(best.node),
-			Gain: best.u + best.c, Scanned: st.evaluated, Chunks: st.chunks,
-		})
-	}
-	result.Attracted = e.Evaluate(result.Nodes)
-	return result, nil
+// GreedyCombinedWorkers is GreedyCombined with an explicit scan worker
+// count.
+func GreedyCombinedWorkers(e *Engine, workers int) (*Placement, error) {
+	return e.eagerGreedy(workers, e.newDetourState(), combinedRule), nil
 }
 
 // GreedyLazy is a lazy-evaluation variant of GreedyCombined exploiting the
@@ -313,4 +322,37 @@ func greedyLazy(e *Engine, initGain func(i int) float64) (*Placement, error) {
 	}
 	result.Attracted = e.Evaluate(result.Nodes)
 	return result, nil
+}
+
+// Solver is one row of the solver table: a core solver under the name the
+// wire protocol, CLIs, experiment configs and step observer all use.
+type Solver struct {
+	Name string
+	run  func(e *Engine, workers int) (*Placement, error)
+}
+
+// Solve runs the solver with its scans fanned across GOMAXPROCS workers.
+func (s Solver) Solve(e *Engine) (*Placement, error) { return s.run(e, defaultWorkers()) }
+
+// SolveWorkers runs with an explicit scan worker count (lazy ignores it).
+func (s Solver) SolveWorkers(e *Engine, workers int) (*Placement, error) { return s.run(e, workers) }
+
+var solverTable = []Solver{
+	{"algorithm1", Algorithm1Workers},
+	{"algorithm2", Algorithm2Workers},
+	{"combined", GreedyCombinedWorkers},
+	{"lazy", func(e *Engine, _ int) (*Placement, error) { return GreedyLazy(e) }},
+}
+
+// Solvers returns the solver table in its canonical order.
+func Solvers() []Solver { return slices.Clone(solverTable) }
+
+// LookupSolver returns the solver registered under name.
+func LookupSolver(name string) (Solver, bool) {
+	for _, s := range solverTable {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return Solver{}, false
 }

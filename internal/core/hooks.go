@@ -12,8 +12,8 @@ import (
 // promise is pinned on fixed instances by parallel_test.go; the randomized
 // invariant harness (internal/invariant) re-checks it on generated
 // instances, which needs the worker knob and an arena digest outside the
-// package. These wrappers exist for that audit; production callers should
-// use the GOMAXPROCS entry points above them.
+// package. These wrappers exist for that audit (the solvers' worker knob
+// is Solver.SolveWorkers); production callers should use NewEngine.
 
 // NewEngineWorkers is NewEngine with an explicit worker count. workers <= 1
 // is the serial reference construction the parallel result must match
@@ -29,22 +29,6 @@ func NewEngineWorkers(p *Problem, workers int) (*Engine, error) {
 // the historical flat arenas — Fingerprint pins this).
 func NewEngineMaxShard(p *Problem, workers, maxShardVisits int) (*Engine, error) {
 	return buildEngine(p, workers, maxShardVisits)
-}
-
-// Algorithm1Workers is Algorithm1 with an explicit scan worker count.
-func Algorithm1Workers(e *Engine, workers int) (*Placement, error) {
-	return algorithm1(e, workers)
-}
-
-// Algorithm2Workers is Algorithm2 with an explicit scan worker count.
-func Algorithm2Workers(e *Engine, workers int) (*Placement, error) {
-	return algorithm2(e, workers)
-}
-
-// GreedyCombinedWorkers is GreedyCombined with an explicit scan worker
-// count.
-func GreedyCombinedWorkers(e *Engine, workers int) (*Placement, error) {
-	return greedyCombined(e, workers)
 }
 
 // Fingerprint digests the engine's CSR arenas (offsets, flow indices,

@@ -174,3 +174,43 @@ func TestRecorderCollectsSolverMetrics(t *testing.T) {
 		t.Fatalf("metrics text output missing solver counters:\n%s", sb.String())
 	}
 }
+
+// TestSolverTableNamesObsSolvers pins the solver table to the wire and
+// observability contract: the canonical names in order, lookup by each
+// name, no row for an unknown name, and every step event a row's solver
+// emits carrying that row's name (perfbench and CI key on these strings).
+func TestSolverTableNamesObsSolvers(t *testing.T) {
+	var names []string
+	for _, s := range Solvers() {
+		names = append(names, s.Name)
+	}
+	if got, want := strings.Join(names, ","), "algorithm1,algorithm2,combined,lazy"; got != want {
+		t.Fatalf("solver table %s, want %s", got, want)
+	}
+	if _, ok := LookupSolver("exhaustive"); ok {
+		t.Fatal("LookupSolver found a row for a non-core solver")
+	}
+	e, err := NewEngine(fig4Problem(t, utility.Linear{D: 6}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		s, ok := LookupSolver(name)
+		if !ok || s.Name != name {
+			t.Fatalf("LookupSolver(%q) = %q, %v", name, s.Name, ok)
+		}
+		cap := &captureObserver{}
+		pl, err := s.Solve(e.WithObserver(cap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cap.steps) != len(pl.Nodes) {
+			t.Fatalf("%s: %d step events for %d steps", name, len(cap.steps), len(pl.Nodes))
+		}
+		for _, ev := range cap.steps {
+			if ev.Solver != name {
+				t.Fatalf("%s emitted a step event named %q", name, ev.Solver)
+			}
+		}
+	}
+}

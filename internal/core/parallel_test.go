@@ -74,19 +74,11 @@ func assertEnginesEqual(t *testing.T, a, b *Engine, nodes, workers int) {
 	}
 }
 
-// TestGreedyParallelBitIdentical runs each parallelized greedy with serial
+// TestGreedyParallelBitIdentical runs every solver in the table with serial
 // and parallel scans on an instance large enough to cross the parallel-scan
 // threshold, asserting identical placements, step gains, and objectives.
 func TestGreedyParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	solvers := []struct {
-		name string
-		run  func(e *Engine, workers int) (*Placement, error)
-	}{
-		{"algorithm1", algorithm1},
-		{"algorithm2", algorithm2},
-		{"greedyCombined", greedyCombined},
-	}
 	for trial := 0; trial < 3; trial++ {
 		// 250 nodes > minParallelScan, so workers>1 takes the chunked path.
 		p := randomProblem(t, rng, 250, 60, 8, utility.Linear{D: 60})
@@ -94,30 +86,30 @@ func TestGreedyParallelBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range solvers {
-			serial, err := s.run(e, 1)
+		for _, s := range Solvers() {
+			serial, err := s.SolveWorkers(e, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 8} {
-				got, err := s.run(e, workers)
+				got, err := s.SolveWorkers(e, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got.Nodes, serial.Nodes) {
 					t.Fatalf("%s workers=%d: nodes %v != serial %v",
-						s.name, workers, got.Nodes, serial.Nodes)
+						s.Name, workers, got.Nodes, serial.Nodes)
 				}
 				if !reflect.DeepEqual(got.StepGains, serial.StepGains) {
 					t.Fatalf("%s workers=%d: step gains %v != serial %v",
-						s.name, workers, got.StepGains, serial.StepGains)
+						s.Name, workers, got.StepGains, serial.StepGains)
 				}
 				if !reflect.DeepEqual(got.StepKinds, serial.StepKinds) {
-					t.Fatalf("%s workers=%d: step kinds differ", s.name, workers)
+					t.Fatalf("%s workers=%d: step kinds differ", s.Name, workers)
 				}
 				if got.Attracted != serial.Attracted {
 					t.Fatalf("%s workers=%d: objective %v != serial %v",
-						s.name, workers, got.Attracted, serial.Attracted)
+						s.Name, workers, got.Attracted, serial.Attracted)
 				}
 			}
 		}

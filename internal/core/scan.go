@@ -75,17 +75,13 @@ func (b *scanBest) consider(s scanned) {
 	}
 }
 
+// merge folds in another partition's argmaxes. Each is a real candidate
+// and betterKey is a strict total order, so considering all three for
+// every key yields exactly the argmaxes of the union.
 func (b *scanBest) merge(o scanBest) {
-	if o.byU.node != graph.Invalid && betterKey(o.byU.u, o.byU.node, b.byU.u, b.byU.node) {
-		b.byU = o.byU
-	}
-	if o.byC.node != graph.Invalid && betterKey(o.byC.c, o.byC.node, b.byC.c, b.byC.node) {
-		b.byC = o.byC
-	}
-	if o.bySum.node != graph.Invalid &&
-		betterKey(o.bySum.u+o.bySum.c, o.bySum.node, b.bySum.u+b.bySum.c, b.bySum.node) {
-		b.bySum = o.bySum
-	}
+	b.consider(o.byU)
+	b.consider(o.byC)
+	b.consider(o.bySum)
 }
 
 // scanStats reports how much work one candidate scan performed; the
@@ -96,54 +92,46 @@ type scanStats struct {
 	chunks    int // contiguous chunks the scan fanned across (1 = inline)
 }
 
-// scanCandidates evaluates eval(v) = (uncovered, covered) for every
-// unplaced candidate and returns the argmaxes plus scan statistics. With
-// workers > 1 and enough candidates, contiguous candidate chunks are
+// scanCandidates evaluates st.marginalGain(v) = (uncovered, covered) for
+// every unplaced candidate and returns the argmaxes plus scan statistics.
+// With workers > 1 and enough candidates, contiguous candidate chunks are
 // scanned concurrently; the merge order is irrelevant because betterKey is
 // a strict total order over (gain, node), so the result is bit-identical
-// to the serial scan. eval must be a pure read of solver state — scans
-// never overlap with state mutation.
-func (e *Engine) scanCandidates(
-	workers int,
-	placed placedSet,
-	eval func(v graph.NodeID) (u, c float64),
-) (scanBest, scanStats) {
+// to the serial scan. marginalGain must be a pure read of the step state —
+// scans never overlap with state mutation.
+func (e *Engine) scanCandidates(workers int, placed placedSet, st stepState) (scanBest, scanStats) {
 	cands := e.cands
 	if workers <= 1 || len(cands) < minParallelScan {
-		best := newScanBest()
-		evaluated := 0
-		for _, v := range cands {
-			if placed.has(v) {
-				continue
-			}
-			u, c := eval(v)
-			best.consider(scanned{node: v, u: u, c: c})
-			evaluated++
-		}
+		best, evaluated := e.scanRange(cands, placed, st)
 		return best, scanStats{evaluated: evaluated, chunks: 1}
 	}
 	chunks := par.Chunks(len(cands), workers)
 	partial := make([]scanBest, len(chunks))
 	counts := make([]int, len(chunks))
 	par.Do(len(chunks), workers, func(ci int) {
-		best := newScanBest()
-		evaluated := 0
-		for _, v := range cands[chunks[ci][0]:chunks[ci][1]] {
-			if placed.has(v) {
-				continue
-			}
-			u, c := eval(v)
-			best.consider(scanned{node: v, u: u, c: c})
-			evaluated++
-		}
-		partial[ci] = best
-		counts[ci] = evaluated
+		partial[ci], counts[ci] = e.scanRange(cands[chunks[ci][0]:chunks[ci][1]], placed, st)
 	})
 	best := newScanBest()
-	st := scanStats{chunks: len(chunks)}
+	stats := scanStats{chunks: len(chunks)}
 	for i, p := range partial {
 		best.merge(p)
-		st.evaluated += counts[i]
+		stats.evaluated += counts[i]
 	}
-	return best, st
+	return best, stats
+}
+
+// scanRange is one serial scan over cands: the running argmaxes and the
+// number of unplaced candidates evaluated.
+func (e *Engine) scanRange(cands []graph.NodeID, placed placedSet, st stepState) (scanBest, int) {
+	best := newScanBest()
+	evaluated := 0
+	for _, v := range cands {
+		if placed.has(v) {
+			continue
+		}
+		u, c := st.marginalGain(e, v)
+		best.consider(scanned{node: v, u: u, c: c})
+		evaluated++
+	}
+	return best, evaluated
 }

@@ -70,12 +70,15 @@ func (sh *arenaShard) flowRange(f int) (int, int) {
 	return int(sh.flowOff[lf]), int(sh.flowOff[lf+1])
 }
 
-// shardForFlow returns the shard owning global flow index f. Shards cover
-// [0, numFlows) contiguously, so the binary search always lands.
-func (e *Engine) shardForFlow(f int) *arenaShard {
-	si := sort.Search(len(e.shards), func(i int) bool { return int(e.shards[i].flowHi) > f })
-	return &e.shards[si]
+// shardIndexForFlow returns the index of the shard owning global flow
+// index f. Shards cover [0, numFlows) contiguously, so the binary search
+// always lands.
+func (e *Engine) shardIndexForFlow(f int) int {
+	return sort.Search(len(e.shards), func(i int) bool { return int(e.shards[i].flowHi) > f })
 }
+
+// shardForFlow returns the shard owning global flow index f.
+func (e *Engine) shardForFlow(f int) *arenaShard { return &e.shards[e.shardIndexForFlow(f)] }
 
 // NumShards reports how many arena shards the engine was built with. One
 // shard is the common case; large instances split when their visit count

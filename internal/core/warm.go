@@ -42,11 +42,7 @@ func (e *Engine) NewWarm() *Warm {
 	for i, v := range e.cands {
 		w.pos[v-e.candLo] = int32(i)
 	}
-	st := e.newDetourState()
-	for i, v := range e.cands {
-		u, c := st.marginalGain(e, v)
-		w.gains[i] = u + c
-	}
+	w.Refresh(e, e.cands)
 	return w
 }
 

@@ -130,17 +130,13 @@ type ManhattanConfig struct {
 // DefaultKs is the RAP budget sweep used across the paper's figures.
 func DefaultKs() []int { return []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10} }
 
-// solveGeneral dispatches a general-scenario algorithm by name.
-func solveGeneral(name string, e *core.Engine, rng *rand.Rand) (*core.Placement, error) {
+// Solve dispatches a general-scenario algorithm by name: a core solver
+// from core's solver table, or one of the baselines.
+func Solve(name string, e *core.Engine, rng *rand.Rand) (*core.Placement, error) {
+	if s, ok := core.LookupSolver(name); ok {
+		return s.Solve(e)
+	}
 	switch name {
-	case AlgoAlgorithm1:
-		return core.Algorithm1(e)
-	case AlgoAlgorithm2:
-		return core.Algorithm2(e)
-	case AlgoCombined:
-		return core.GreedyCombined(e)
-	case AlgoLazy:
-		return core.GreedyLazy(e)
 	case AlgoMaxCardinality:
 		return baseline.MaxCardinality(e)
 	case AlgoMaxVehicles:

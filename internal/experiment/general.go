@@ -172,7 +172,7 @@ func runGeneralOn(inst *Instance, cfg GeneralConfig, name, title string, workers
 		vals := make(map[string][]float64, len(cfg.Algorithms))
 		for _, algo := range cfg.Algorithms {
 			solveStart := time.Now()
-			pl, err := solveGeneral(algo, e, rng)
+			pl, err := Solve(algo, e, rng)
 			if err != nil {
 				trialErrs[trial] = err
 				return

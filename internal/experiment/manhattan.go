@@ -107,7 +107,7 @@ func runManhattan(cfg ManhattanConfig, name, title string, workers int) (*Result
 				}
 				vals[algo] = row
 			default:
-				pl, err := solveGeneral(algo, e, rng)
+				pl, err := Solve(algo, e, rng)
 				if err != nil {
 					trialErrs[trial] = err
 					return

@@ -81,12 +81,11 @@ func RunRatios(cfg RatioConfig) (*RatioResult, error) {
 		algo    string
 		utility string
 		bound   float64
-		solve   func(*core.Engine) (*core.Placement, error)
 	}
 	variants := []variant{
-		{AlgoAlgorithm1, "threshold", 1 - 1/math.E, core.Algorithm1},
-		{AlgoAlgorithm2, "linear", 1 - 1/math.Sqrt(math.E), core.Algorithm2},
-		{AlgoCombined, "linear", 1 - 1/math.E, core.GreedyCombined},
+		{AlgoAlgorithm1, "threshold", 1 - 1/math.E},
+		{AlgoAlgorithm2, "linear", 1 - 1/math.Sqrt(math.E)},
+		{AlgoCombined, "linear", 1 - 1/math.E},
 	}
 	ratios := make(map[string][]float64, len(variants))
 	for trial := 0; trial < cfg.Trials; trial++ {
@@ -99,7 +98,7 @@ func RunRatios(cfg RatioConfig) (*RatioResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			greedy, err := v.solve(e)
+			greedy, err := Solve(v.algo, e, nil)
 			if err != nil {
 				return nil, err
 			}

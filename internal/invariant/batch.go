@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 
+	"roadside/internal/core"
 	"roadside/internal/serve"
 )
 
@@ -31,11 +31,12 @@ func checkBatchIdentity(inst *Instance) error {
 
 	// Every algorithm at a budget derived from the instance, plus the
 	// instance's own K: mixed budgets across one shared engine.
-	items := make([]serve.BatchItem, 0, 2*len(serveAlgos))
-	for i, algo := range serveAlgos {
+	solvers := core.Solvers()
+	items := make([]serve.BatchItem, 0, 2*len(solvers))
+	for i, sv := range solvers {
 		k := 1 + (int(uint64(inst.Seed))+i)%p.K
-		items = append(items, serve.BatchItem{K: k, Algo: algo.name})
-		items = append(items, serve.BatchItem{K: p.K, Algo: algo.name})
+		items = append(items, serve.BatchItem{K: k, Algo: sv.Name})
+		items = append(items, serve.BatchItem{K: p.K, Algo: sv.Name})
 	}
 	body, err := json.Marshal(serve.BatchRequest{ProblemSpec: spec, Items: items})
 	if err != nil {
@@ -93,23 +94,10 @@ func checkBatchIdentity(inst *Instance) error {
 		if batch.Digest != want.Digest {
 			return fmt.Errorf("batch-identity: batch digest %q, place digest %q", batch.Digest, want.Digest)
 		}
-		if len(got.Nodes) != len(want.Nodes) {
-			return fmt.Errorf("batch-identity: item %d (%s k=%d) batch %v, sequential %v",
-				i, item.Algo, item.K, got.Nodes, want.Nodes)
-		}
-		for s := range got.Nodes {
-			if got.Nodes[s] != want.Nodes[s] {
-				return fmt.Errorf("batch-identity: item %d (%s k=%d) batch %v, sequential %v",
-					i, item.Algo, item.K, got.Nodes, want.Nodes)
-			}
-			if math.Float64bits(got.StepGains[s]) != math.Float64bits(want.StepGains[s]) {
-				return fmt.Errorf("batch-identity: item %d step %d gain %v vs sequential %v: not bit-identical",
-					i, s, got.StepGains[s], want.StepGains[s])
-			}
-		}
-		if math.Float64bits(got.Attracted) != math.Float64bits(want.Attracted) {
-			return fmt.Errorf("batch-identity: item %d attracted %v vs sequential %v: not bit-identical",
-				i, got.Attracted, want.Attracted)
+		batched := &core.Placement{Nodes: got.Nodes, StepGains: got.StepGains, Attracted: got.Attracted}
+		sequential := &core.Placement{Nodes: want.Nodes, StepGains: want.StepGains, Attracted: want.Attracted}
+		if err := placementsIdentical(sequential, batched); err != nil {
+			return fmt.Errorf("batch-identity: item %d (%s k=%d) batch vs sequential: %w", i, item.Algo, item.K, err)
 		}
 	}
 	return nil

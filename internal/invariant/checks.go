@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"roadside/internal/core"
 	"roadside/internal/flow"
@@ -168,25 +169,17 @@ func checkParallelIdentity(inst *Instance) error {
 		if s, p := serial.Fingerprint(), par.Fingerprint(); s != p {
 			return fmt.Errorf("arena fingerprint diverges: workers=1 %x vs workers=%d %x", s, workers, p)
 		}
-		type solver struct {
-			name string
-			run  func(*core.Engine, int) (*core.Placement, error)
-		}
-		for _, sv := range []solver{
-			{"algorithm1", core.Algorithm1Workers},
-			{"algorithm2", core.Algorithm2Workers},
-			{"combined", core.GreedyCombinedWorkers},
-		} {
-			want, err := sv.run(serial, 1)
+		for _, sv := range core.Solvers() {
+			want, err := sv.SolveWorkers(serial, 1)
 			if err != nil {
 				return err
 			}
-			got, err := sv.run(par, workers)
+			got, err := sv.SolveWorkers(par, workers)
 			if err != nil {
 				return err
 			}
 			if err := placementsIdentical(want, got); err != nil {
-				return fmt.Errorf("%s diverges at workers=%d: %w", sv.name, workers, err)
+				return fmt.Errorf("%s diverges at workers=%d: %w", sv.Name, workers, err)
 			}
 		}
 	}
@@ -194,23 +187,19 @@ func checkParallelIdentity(inst *Instance) error {
 }
 
 // placementsIdentical compares two placements under the bit-identity
-// contract: same nodes, same step gains to the last bit, same objective.
+// contract: same nodes, same step gains and objective to the last bit
+// (Float64bits, so ±0 and NaN payloads count as differences).
 func placementsIdentical(a, b *core.Placement) error {
-	if len(a.Nodes) != len(b.Nodes) {
-		return fmt.Errorf("placement lengths %d vs %d", len(a.Nodes), len(b.Nodes))
+	if !slices.Equal(a.Nodes, b.Nodes) || len(a.StepGains) != len(b.StepGains) {
+		return fmt.Errorf("placements %v vs %v", a.Nodes, b.Nodes)
 	}
-	for i := range a.Nodes {
-		if a.Nodes[i] != b.Nodes[i] {
-			return fmt.Errorf("step %d chose node %d vs %d", i, a.Nodes[i], b.Nodes[i])
-		}
-		//lint:ignore floatcmp parallel scans document bit-identity with the serial scan
-		if a.StepGains[i] != b.StepGains[i] {
-			return fmt.Errorf("step %d gain %v vs %v", i, a.StepGains[i], b.StepGains[i])
+	for i := range a.StepGains {
+		if math.Float64bits(a.StepGains[i]) != math.Float64bits(b.StepGains[i]) {
+			return fmt.Errorf("step %d gain %v vs %v: not bit-identical", i, a.StepGains[i], b.StepGains[i])
 		}
 	}
-	//lint:ignore floatcmp identical placements evaluate identically by construction
-	if a.Attracted != b.Attracted {
-		return fmt.Errorf("objective %v vs %v", a.Attracted, b.Attracted)
+	if math.Float64bits(a.Attracted) != math.Float64bits(b.Attracted) {
+		return fmt.Errorf("objective %v vs %v: not bit-identical", a.Attracted, b.Attracted)
 	}
 	return nil
 }
@@ -475,15 +464,13 @@ func checkGreedyApprox(inst *Instance) error {
 			greedy.Attracted, bound, best.Attracted)
 	}
 	// The oracle itself must dominate every greedy.
-	for _, run := range []func(*core.Engine) (*core.Placement, error){
-		core.Algorithm2, core.GreedyCombined, core.GreedyLazy,
-	} {
-		pl, err := run(e)
+	for _, sv := range core.Solvers() {
+		pl, err := sv.Solve(e)
 		if err != nil {
 			return err
 		}
 		if pl.Attracted > best.Attracted+tol*(1+best.Attracted) {
-			return fmt.Errorf("a greedy (%v) beat the exhaustive optimum (%v)", pl.Attracted, best.Attracted)
+			return fmt.Errorf("%s (%v) beat the exhaustive optimum (%v)", sv.Name, pl.Attracted, best.Attracted)
 		}
 	}
 	return nil
@@ -495,34 +482,24 @@ func checkZeroGainTermination(inst *Instance) error {
 		return err
 	}
 	p := inst.Problem
-	type solver struct {
-		name string
-		run  func(*core.Engine) (*core.Placement, error)
-	}
-	solvers := []solver{
-		{"algorithm1", core.Algorithm1},
-		{"algorithm2", core.Algorithm2},
-		{"combined", core.GreedyCombined},
-		{"lazy", core.GreedyLazy},
-	}
 	var combined, lazy *core.Placement
-	for _, sv := range solvers {
-		pl, err := sv.run(e)
+	for _, sv := range core.Solvers() {
+		pl, err := sv.Solve(e)
 		if err != nil {
 			return err
 		}
 		if len(pl.Nodes) > p.K {
-			return fmt.Errorf("%s placed %d RAPs with budget %d", sv.name, len(pl.Nodes), p.K)
+			return fmt.Errorf("%s placed %d RAPs with budget %d", sv.Name, len(pl.Nodes), p.K)
 		}
 		if len(pl.StepGains) != len(pl.Nodes) {
-			return fmt.Errorf("%s recorded %d gains for %d nodes", sv.name, len(pl.StepGains), len(pl.Nodes))
+			return fmt.Errorf("%s recorded %d gains for %d nodes", sv.Name, len(pl.StepGains), len(pl.Nodes))
 		}
 		for i, g := range pl.StepGains {
 			if g <= 0 {
-				return fmt.Errorf("%s step %d banked non-positive gain %v", sv.name, i, g)
+				return fmt.Errorf("%s step %d banked non-positive gain %v", sv.Name, i, g)
 			}
 		}
-		if sv.name != "algorithm1" && len(pl.Nodes) < p.K {
+		if sv.Name != "algorithm1" && len(pl.Nodes) < p.K {
 			// Early stop: every remaining candidate's residual marginal
 			// gain at the final state must be (numerically) zero.
 			// Algorithm 1 is exempt — it stops when its *coverage*
@@ -535,11 +512,11 @@ func checkZeroGainTermination(inst *Instance) error {
 				u, c := st.Gain(v)
 				if u+c > tol {
 					return fmt.Errorf("%s stopped at %d/%d RAPs but node %d still gains %v",
-						sv.name, len(pl.Nodes), p.K, v, u+c)
+						sv.Name, len(pl.Nodes), p.K, v, u+c)
 				}
 			}
 		}
-		switch sv.name {
+		switch sv.Name {
 		case "combined":
 			combined = pl
 		case "lazy":

@@ -145,26 +145,17 @@ func checkDeltaIdentity(inst *Instance) error {
 	}
 
 	// Every solver agrees bit-for-bit between the delta'd and fresh engine.
-	type solver struct {
-		name string
-		run  func(*core.Engine) (*core.Placement, error)
-	}
-	for _, sv := range []solver{
-		{"algorithm1", core.Algorithm1},
-		{"algorithm2", core.Algorithm2},
-		{"combined", core.GreedyCombined},
-		{"lazy", core.GreedyLazy},
-	} {
-		got, err := sv.run(base)
+	for _, sv := range core.Solvers() {
+		got, err := sv.Solve(base)
 		if err != nil {
-			return fmt.Errorf("delta-identity: %s on delta engine: %w", sv.name, err)
+			return fmt.Errorf("delta-identity: %s on delta engine: %w", sv.Name, err)
 		}
-		want, err := sv.run(fresh)
+		want, err := sv.Solve(fresh)
 		if err != nil {
-			return fmt.Errorf("delta-identity: %s on fresh engine: %w", sv.name, err)
+			return fmt.Errorf("delta-identity: %s on fresh engine: %w", sv.Name, err)
 		}
 		if err := placementsIdentical(want, got); err != nil {
-			return fmt.Errorf("delta-identity: %s diverges after delta: %w", sv.name, err)
+			return fmt.Errorf("delta-identity: %s diverges after delta: %w", sv.Name, err)
 		}
 	}
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 
 	"roadside/internal/core"
@@ -32,18 +31,6 @@ func (r *recorder) Header() http.Header         { return r.header }
 func (r *recorder) Write(b []byte) (int, error) { return r.body.Write(b) }
 func (r *recorder) WriteHeader(status int)      { r.status = status }
 
-// serveAlgos pairs each wire algo name with its direct single-worker
-// oracle; checkServeIdentity rotates through them by instance seed.
-var serveAlgos = []struct {
-	name   string
-	direct func(*core.Engine) (*core.Placement, error)
-}{
-	{"algorithm1", func(e *core.Engine) (*core.Placement, error) { return core.Algorithm1Workers(e, 1) }},
-	{"algorithm2", func(e *core.Engine) (*core.Placement, error) { return core.Algorithm2Workers(e, 1) }},
-	{"combined", func(e *core.Engine) (*core.Placement, error) { return core.GreedyCombinedWorkers(e, 1) }},
-	{"lazy", core.GreedyLazy},
-}
-
 // checkServeIdentity round-trips the instance through an in-process
 // placement server twice — the first request builds the engine (cache
 // miss), the second is served from the LRU (cache hit) — and requires both
@@ -52,22 +39,23 @@ var serveAlgos = []struct {
 // override, and solver dispatch add nothing and lose nothing.
 func checkServeIdentity(inst *Instance) error {
 	p := inst.Problem
-	algo := serveAlgos[int(uint64(inst.Seed)%uint64(len(serveAlgos)))]
+	solvers := core.Solvers()
+	algo := solvers[int(uint64(inst.Seed)%uint64(len(solvers)))]
 
 	eng, err := core.NewEngineWorkers(p, 1)
 	if err != nil {
 		return fmt.Errorf("serve-identity: direct engine: %w", err)
 	}
-	want, err := algo.direct(eng)
+	want, err := algo.SolveWorkers(eng, 1)
 	if err != nil {
-		return fmt.Errorf("serve-identity: direct %s: %w", algo.name, err)
+		return fmt.Errorf("serve-identity: direct %s: %w", algo.Name, err)
 	}
 
 	spec, err := serve.ProblemSpecOf(p)
 	if err != nil {
 		return fmt.Errorf("serve-identity: encode problem: %w", err)
 	}
-	body, err := json.Marshal(serve.PlaceRequest{ProblemSpec: spec, K: p.K, Algo: algo.name})
+	body, err := json.Marshal(serve.PlaceRequest{ProblemSpec: spec, K: p.K, Algo: algo.Name})
 	if err != nil {
 		return fmt.Errorf("serve-identity: encode request: %w", err)
 	}
@@ -90,19 +78,9 @@ func checkServeIdentity(inst *Instance) error {
 		if got.Cache != wantCache {
 			return fmt.Errorf("serve-identity: cache outcome %q, want %q", got.Cache, wantCache)
 		}
-		if len(got.Nodes) != len(want.Nodes) {
-			return fmt.Errorf("serve-identity: %s (%s) served %v, direct %v",
-				algo.name, wantCache, got.Nodes, want.Nodes)
-		}
-		for i := range got.Nodes {
-			if got.Nodes[i] != want.Nodes[i] {
-				return fmt.Errorf("serve-identity: %s (%s) served %v, direct %v",
-					algo.name, wantCache, got.Nodes, want.Nodes)
-			}
-		}
-		if math.Float64bits(got.Attracted) != math.Float64bits(want.Attracted) {
-			return fmt.Errorf("serve-identity: %s (%s) served attracted %v, direct %v: not bit-identical",
-				algo.name, wantCache, got.Attracted, want.Attracted)
+		served := &core.Placement{Nodes: got.Nodes, StepGains: got.StepGains, Attracted: got.Attracted}
+		if err := placementsIdentical(want, served); err != nil {
+			return fmt.Errorf("serve-identity: %s (%s) served vs direct: %w", algo.Name, wantCache, err)
 		}
 	}
 	return nil

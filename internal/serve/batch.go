@@ -125,10 +125,9 @@ func solveBatchItem(eng *core.Engine, warm *core.Warm, item BatchItem, idx int) 
 		res.Error = errorf(http.StatusUnprocessableEntity, CodeBadBudget, "k=%d, need k >= 1", item.K)
 		return res
 	}
-	solver, ok := solvers[res.Algo]
-	if !ok {
-		res.Error = errorf(http.StatusUnprocessableEntity, CodeUnknownAlgo,
-			"algo %q (want algorithm1, algorithm2, combined, or lazy)", res.Algo)
+	solver, apiErr := solverFor(res.Algo)
+	if apiErr != nil {
+		res.Error = apiErr
 		return res
 	}
 	budgeted, err := eng.WithBudget(item.K)
@@ -136,12 +135,7 @@ func solveBatchItem(eng *core.Engine, warm *core.Warm, item BatchItem, idx int) 
 		res.Error = errorf(http.StatusUnprocessableEntity, CodeBadBudget, "%v", err)
 		return res
 	}
-	var pl *core.Placement
-	if res.Algo == "lazy" && warm != nil {
-		pl, err = core.GreedyLazyWarm(budgeted, warm)
-	} else {
-		pl, err = solver(budgeted)
-	}
+	pl, err := solve(solver, budgeted, warm)
 	if err != nil {
 		res.Error = errorf(http.StatusInternalServerError, CodeInternal, "solve: %v", err)
 		return res

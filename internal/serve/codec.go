@@ -398,9 +398,8 @@ func decodePlaceRequest(body []byte) (*PlaceRequest, *core.Problem, *APIError) {
 	if req.Algo == "" {
 		req.Algo = "algorithm2"
 	}
-	if _, ok := solvers[req.Algo]; !ok {
-		return nil, nil, errorf(http.StatusUnprocessableEntity, CodeUnknownAlgo,
-			"algo %q (want algorithm1, algorithm2, combined, or lazy)", req.Algo)
+	if _, apiErr := solverFor(req.Algo); apiErr != nil {
+		return nil, nil, apiErr
 	}
 	if req.Digest != "" {
 		return &req, nil, nil
@@ -508,12 +507,25 @@ func decodeUpdateRequest(body []byte) (*UpdateRequest, []core.FlowUpdate, *APIEr
 	return &req, ops, nil
 }
 
-// solvers maps wire algo names onto the core solvers.
-var solvers = map[string]func(*core.Engine) (*core.Placement, error){
-	"algorithm1": core.Algorithm1,
-	"algorithm2": core.Algorithm2,
-	"combined":   core.GreedyCombined,
-	"lazy":       core.GreedyLazy,
+// solverFor looks a wire algo name up in the core solver table.
+func solverFor(algo string) (core.Solver, *APIError) {
+	s, ok := core.LookupSolver(algo)
+	if !ok {
+		return s, errorf(http.StatusUnprocessableEntity, CodeUnknownAlgo,
+			"algo %q (want algorithm1, algorithm2, combined, or lazy)", algo)
+	}
+	return s, nil
+}
+
+// solve runs s on e. A lineage that has been updated carries a Warm cache
+// current for its engine; the lazy solver seeded from it returns the
+// bit-identical placement while skipping the full init scan (budgets share
+// arenas, and the cached bounds do not depend on K).
+func solve(s core.Solver, e *core.Engine, warm *core.Warm) (*core.Placement, error) {
+	if s.Name == "lazy" {
+		return core.GreedyLazyWarm(e, warm)
+	}
+	return s.Solve(e)
 }
 
 // writeJSON writes v as the response body. Encoding failures at this point

@@ -174,16 +174,8 @@ func (s *Server) runPlace(ctx context.Context, req *PlaceRequest, p *core.Proble
 	if err != nil {
 		return nil, errorf(http.StatusUnprocessableEntity, CodeBadBudget, "%v", err)
 	}
-	// A lineage that has been updated carries a Warm cache current for its
-	// engine; the lazy solver seeded from it returns the bit-identical
-	// placement while skipping the full init scan (budgets share arenas, and
-	// the cached bounds do not depend on K).
-	var pl *core.Placement
-	if req.Algo == "lazy" && warm != nil {
-		pl, err = core.GreedyLazyWarm(budgeted, warm)
-	} else {
-		pl, err = solvers[req.Algo](budgeted)
-	}
+	solver, _ := core.LookupSolver(req.Algo) // validated by decodePlaceRequest
+	pl, err := solve(solver, budgeted, warm)
 	if err != nil {
 		return nil, errorf(http.StatusInternalServerError, CodeInternal, "solve: %v", err)
 	}

@@ -118,9 +118,8 @@ func oracleDecodePlaceRequest(body []byte) (*PlaceRequest, *core.Problem, *APIEr
 	if req.Algo == "" {
 		req.Algo = "algorithm2"
 	}
-	if _, ok := solvers[req.Algo]; !ok {
-		return nil, nil, errorf(http.StatusUnprocessableEntity, CodeUnknownAlgo,
-			"algo %q (want algorithm1, algorithm2, combined, or lazy)", req.Algo)
+	if _, apiErr := solverFor(req.Algo); apiErr != nil {
+		return nil, nil, apiErr
 	}
 	if req.Digest != "" {
 		return &req, nil, nil

@@ -23,38 +23,12 @@ type raceProblem struct {
 	want   *core.Placement
 }
 
-// solveSingle runs the named solver at worker count 1: the oracle side of
-// the bit-identity assertions.
-func solveSingle(t *testing.T, algo string, e *core.Engine) *core.Placement {
-	t.Helper()
-	var (
-		pl  *core.Placement
-		err error
-	)
-	switch algo {
-	case "algorithm1":
-		pl, err = core.Algorithm1Workers(e, 1)
-	case "algorithm2":
-		pl, err = core.Algorithm2Workers(e, 1)
-	case "combined":
-		pl, err = core.GreedyCombinedWorkers(e, 1)
-	case "lazy":
-		pl, err = core.GreedyLazy(e)
-	default:
-		t.Fatalf("unknown algo %q", algo)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pl
-}
-
 // raceProblems generates n distinct problems with oracle answers, rotating
 // the solver family per problem.
 func raceProblems(t *testing.T, n int) []raceProblem {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
-	algos := []string{"algorithm1", "algorithm2", "combined", "lazy"}
+	solvers := core.Solvers()
 	seen := map[string]bool{}
 	out := make([]raceProblem, n)
 	for i := range out {
@@ -71,8 +45,8 @@ func raceProblems(t *testing.T, n int) []raceProblem {
 			t.Fatalf("problem %d collides with an earlier digest %s", i, digest)
 		}
 		seen[digest] = true
-		algo := algos[i%len(algos)]
-		body, err := json.Marshal(PlaceRequest{ProblemSpec: spec, K: p.K, Algo: algo})
+		solver := solvers[i%len(solvers)]
+		body, err := json.Marshal(PlaceRequest{ProblemSpec: spec, K: p.K, Algo: solver.Name})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +54,11 @@ func raceProblems(t *testing.T, n int) []raceProblem {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[i] = raceProblem{body: body, digest: digest, want: solveSingle(t, algo, eng)}
+		want, err := solver.SolveWorkers(eng, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = raceProblem{body: body, digest: digest, want: want}
 	}
 	return out
 }
