@@ -3,11 +3,11 @@ package main
 import (
 	"fmt"
 	"io"
-	"math"
 	"testing"
 
 	"roadside"
 	"roadside/internal/benchio"
+	"roadside/internal/core"
 )
 
 // Delta benchmark mode (-delta).
@@ -63,32 +63,6 @@ func driftChurnOps(p *roadside.Problem) ([]roadside.FlowUpdate, error) {
 	}, nil
 }
 
-// samePlacement compares two placements at Float64bits resolution — the
-// same identity contract the delta soak invariant enforces.
-func samePlacement(a, b *roadside.Placement) error {
-	if len(a.Nodes) != len(b.Nodes) {
-		return fmt.Errorf("placement sizes %d vs %d", len(a.Nodes), len(b.Nodes))
-	}
-	for i := range a.Nodes {
-		if a.Nodes[i] != b.Nodes[i] {
-			return fmt.Errorf("node %d: %d vs %d", i, a.Nodes[i], b.Nodes[i])
-		}
-	}
-	if math.Float64bits(a.Attracted) != math.Float64bits(b.Attracted) {
-		return fmt.Errorf("objective bits %x vs %x",
-			math.Float64bits(a.Attracted), math.Float64bits(b.Attracted))
-	}
-	if len(a.StepGains) != len(b.StepGains) {
-		return fmt.Errorf("step gain counts %d vs %d", len(a.StepGains), len(b.StepGains))
-	}
-	for i := range a.StepGains {
-		if math.Float64bits(a.StepGains[i]) != math.Float64bits(b.StepGains[i]) {
-			return fmt.Errorf("step gain %d bits differ", i)
-		}
-	}
-	return nil
-}
-
 // measureDrift times one drift cycle both ways and appends the rebuild /
 // delta entry pair. base and warm are the standing engine and its warm
 // state; ops is the drift batch.
@@ -123,7 +97,7 @@ func measureDrift(w io.Writer, report *benchio.Report, name string,
 	if err != nil {
 		return 0, fmt.Errorf("%s: warm solve: %w", name, err)
 	}
-	if err := samePlacement(warmPl, coldPl); err != nil {
+	if err := core.SamePlacement(coldPl, warmPl); err != nil {
 		return 0, fmt.Errorf("%s: warm/cold placements diverge: %w", name, err)
 	}
 

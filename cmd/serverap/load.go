@@ -320,20 +320,9 @@ func buildPool(n int, seed int64, heavy bool) ([]loadProblem, int64, error) {
 	return pool, totalArena, nil
 }
 
-// matchPlacement checks a served placement bit-for-bit against its oracle.
-func matchPlacement(nodes []graph.NodeID, attracted float64, want *core.Placement, label string) error {
-	if len(nodes) != len(want.Nodes) {
-		return fmt.Errorf("%s: served %v, oracle %v", label, nodes, want.Nodes)
-	}
-	for i := range nodes {
-		if nodes[i] != want.Nodes[i] {
-			return fmt.Errorf("%s: served %v, oracle %v", label, nodes, want.Nodes)
-		}
-	}
-	if math.Float64bits(attracted) != math.Float64bits(want.Attracted) {
-		return fmt.Errorf("%s: attracted %v, oracle %v (not bit-identical)", label, attracted, want.Attracted)
-	}
-	return nil
+// placed wraps a served placement for core.SamePlacement.
+func placed(r *serve.PlaceResponse) *core.Placement {
+	return &core.Placement{Nodes: r.Nodes, Attracted: r.Attracted, StepGains: r.StepGains, StepKinds: r.StepKinds}
 }
 
 // firePlace POSTs a place (by reference when enabled, else the full
@@ -346,7 +335,10 @@ func firePlace(lc *loadClient, p *loadProblem, algo string) error {
 	if got.Digest != p.digest {
 		return fmt.Errorf("place digest %q, want %q", got.Digest, p.digest)
 	}
-	return matchPlacement(got.Nodes, got.Attracted, p.oracle[algo], "place "+algo)
+	if err := core.SamePlacement(p.oracle[algo], placed(&got)); err != nil {
+		return fmt.Errorf("place %s: %w", algo, err)
+	}
+	return nil
 }
 
 // fireEvaluate POSTs an evaluate and checks the objective bits.
@@ -376,8 +368,10 @@ func fireBatch(lc *loadClient, p *loadProblem) error {
 		if item.Error != nil {
 			return fmt.Errorf("batch item %d (%s): %s", i, algo, item.Error.Message)
 		}
-		if err := matchPlacement(item.Nodes, item.Attracted, p.oracle[algo], "batch "+algo); err != nil {
-			return err
+		served := &core.Placement{Nodes: item.Nodes, Attracted: item.Attracted,
+			StepGains: item.StepGains, StepKinds: item.StepKinds}
+		if err := core.SamePlacement(p.oracle[algo], served); err != nil {
+			return fmt.Errorf("batch %s: %w", algo, err)
 		}
 	}
 	return nil
@@ -426,7 +420,10 @@ func fireJob(lc *loadClient, p *loadProblem, algo string, deadline time.Time) er
 			if err := json.Unmarshal(raw, &got); err != nil {
 				return fmt.Errorf("job %s result is not a PlaceResponse: %w", st.ID, err)
 			}
-			return matchPlacement(got.Nodes, got.Attracted, p.oracle[algo], "job "+algo)
+			if err := core.SamePlacement(p.oracle[algo], placed(&got)); err != nil {
+				return fmt.Errorf("job %s: %w", algo, err)
+			}
+			return nil
 		case serve.JobFailed, serve.JobCanceled:
 			return fmt.Errorf("job %s finished as %s: %+v", st.ID, st.State, st.Error)
 		}
@@ -541,8 +538,10 @@ func fireLineageRead(client *http.Client, base string, l *loadLineage, place boo
 		if err != nil {
 			return fmt.Errorf("lineage place digest %q: %v", pr.Digest, err)
 		}
-		return matchPlacement(pr.Nodes, pr.Attracted, l.wantPl[classOf(seq)],
-			fmt.Sprintf("lineage place seq %d", seq))
+		if err := core.SamePlacement(l.wantPl[classOf(seq)], placed(&pr)); err != nil {
+			return fmt.Errorf("lineage place seq %d: %w", seq, err)
+		}
+		return nil
 	}
 	body, err := json.Marshal(serve.EvaluateRequest{Digest: l.base, Placement: l.evalNodes})
 	if err != nil {

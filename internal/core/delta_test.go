@@ -53,29 +53,11 @@ func randomOps(tb testing.TB, rng *rand.Rand, p *Problem, n int) []FlowUpdate {
 	return ops
 }
 
-// assertPlacementsEqual compares two placements at Float64bits.
+// assertPlacementsEqual fails the test unless b is bit-identical to a.
 func assertPlacementsEqual(t *testing.T, label string, a, b *Placement) {
 	t.Helper()
-	if len(a.Nodes) != len(b.Nodes) {
-		t.Fatalf("%s: %d nodes vs %d", label, len(a.Nodes), len(b.Nodes))
-	}
-	for i := range a.Nodes {
-		if a.Nodes[i] != b.Nodes[i] {
-			t.Fatalf("%s: node[%d] = %d vs %d", label, i, a.Nodes[i], b.Nodes[i])
-		}
-	}
-	if math.Float64bits(a.Attracted) != math.Float64bits(b.Attracted) {
-		t.Fatalf("%s: attracted %v vs %v", label, a.Attracted, b.Attracted)
-	}
-	for i := range a.StepGains {
-		if math.Float64bits(a.StepGains[i]) != math.Float64bits(b.StepGains[i]) {
-			t.Fatalf("%s: step gain[%d] %v vs %v", label, i, a.StepGains[i], b.StepGains[i])
-		}
-	}
-	for i := range a.StepKinds {
-		if a.StepKinds[i] != b.StepKinds[i] {
-			t.Fatalf("%s: step kind[%d] %q vs %q", label, i, a.StepKinds[i], b.StepKinds[i])
-		}
+	if err := SamePlacement(a, b); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 }
 

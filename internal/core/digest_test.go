@@ -140,16 +140,8 @@ func TestWithBudget(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s fresh: %v", name, err)
 		}
-		if len(got.Nodes) != len(want.Nodes) {
-			t.Fatalf("%s: %v vs fresh %v", name, got.Nodes, want.Nodes)
-		}
-		for i := range got.Nodes {
-			if got.Nodes[i] != want.Nodes[i] {
-				t.Fatalf("%s: %v vs fresh %v", name, got.Nodes, want.Nodes)
-			}
-		}
-		if math.Float64bits(got.Attracted) != math.Float64bits(want.Attracted) {
-			t.Fatalf("%s: attracted %v vs fresh %v", name, got.Attracted, want.Attracted)
+		if err := SamePlacement(want, got); err != nil {
+			t.Fatalf("%s derived vs fresh: %v", name, err)
 		}
 	}
 

@@ -67,18 +67,8 @@ func TestWorkerHooksMatchPublicAPI(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got.Nodes) != len(want.Nodes) {
-				t.Fatalf("%s workers=%d: %d nodes vs %d", r.name, workers, len(got.Nodes), len(want.Nodes))
-			}
-			for i := range got.Nodes {
-				if got.Nodes[i] != want.Nodes[i] {
-					t.Errorf("%s workers=%d: step %d node %d vs %d",
-						r.name, workers, i, got.Nodes[i], want.Nodes[i])
-				}
-			}
-			//lint:ignore floatcmp the worker hooks promise bit-identity with the public solvers
-			if got.Attracted != want.Attracted {
-				t.Errorf("%s workers=%d: objective %v vs %v", r.name, workers, got.Attracted, want.Attracted)
+			if err := SamePlacement(want, got); err != nil {
+				t.Errorf("%s workers=%d: %v", r.name, workers, err)
 			}
 		}
 	}

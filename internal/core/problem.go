@@ -14,6 +14,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"roadside/internal/flow"
 	"roadside/internal/graph"
@@ -110,4 +112,33 @@ type Placement struct {
 	// StepKinds records which composite-greedy candidate won each step
 	// ("uncovered" or "covered"); empty for other solvers.
 	StepKinds []string
+}
+
+// SamePlacement reports how got differs from want under the bit-identity
+// contract every fast path (parallel scans, many-to-many searches, sharded
+// arenas, deltas, warm starts, the HTTP service) keeps with its serial
+// reference: the same nodes and step kinds in order, and every step gain
+// and the objective equal to the last bit. Floats compare by
+// math.Float64bits, so +0 and -0 differ and so do two NaN payloads. A nil
+// and an empty slice are equal, because JSON omitempty decodes an empty
+// slice as nil. It returns nil when the placements are identical.
+func SamePlacement(want, got *Placement) error {
+	if !slices.Equal(want.Nodes, got.Nodes) {
+		return fmt.Errorf("nodes %v, want %v", got.Nodes, want.Nodes)
+	}
+	if !slices.Equal(want.StepKinds, got.StepKinds) {
+		return fmt.Errorf("step kinds %v, want %v", got.StepKinds, want.StepKinds)
+	}
+	if len(want.StepGains) != len(got.StepGains) {
+		return fmt.Errorf("%d step gains, want %d", len(got.StepGains), len(want.StepGains))
+	}
+	for i, w := range want.StepGains {
+		if math.Float64bits(got.StepGains[i]) != math.Float64bits(w) {
+			return fmt.Errorf("step %d gain %v, want %v: not bit-identical", i, got.StepGains[i], w)
+		}
+	}
+	if math.Float64bits(got.Attracted) != math.Float64bits(want.Attracted) {
+		return fmt.Errorf("objective %v, want %v: not bit-identical", got.Attracted, want.Attracted)
+	}
+	return nil
 }

@@ -95,10 +95,8 @@ func TestShardedEngineBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(pa.Nodes, pb.Nodes) ||
-				!reflect.DeepEqual(pa.StepGains, pb.StepGains) ||
-				math.Float64bits(pa.Attracted) != math.Float64bits(pb.Attracted) {
-				t.Fatalf("trial %d solver %d: sharded placement diverges", trial, si)
+			if err := SamePlacement(pa, pb); err != nil {
+				t.Fatalf("trial %d solver %d: sharded placement diverges: %v", trial, si, err)
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"roadside/internal/core"
 	"roadside/internal/flow"
@@ -30,9 +29,6 @@ func init() {
 	register(Invariant{Name: "prefix-consistency",
 		Doc:   "EvaluatePrefixes(S)[i] equals Evaluate(S[:i]) bit-for-bit at every prefix",
 		Check: checkPrefixConsistency})
-	register(Invariant{Name: "parallel-identity",
-		Doc:   "engine arenas and greedy placements are bit-identical across worker counts (1 vs 2 vs 8)",
-		Check: checkParallelIdentity})
 	register(Invariant{Name: "detour-triangle",
 		Doc:   "the detour identity d' + d'' - d''' matches independent shortest-path recomputation and is never negative",
 		Check: checkDetourTriangle})
@@ -57,9 +53,6 @@ func init() {
 	register(Invariant{Name: "sim-convergence",
 		Doc:   "at zero radio range the simulator's expectation equals Evaluate and its mean lands within 6 standard errors",
 		Check: checkSimConvergence})
-	register(Invariant{Name: "many-to-many-identity",
-		Doc:   "ManyToMany rectangles are Float64bits-identical to per-destination Dijkstra on instance-seeded query sets",
-		Check: checkManyToManyIdentity})
 }
 
 // samplePlacement draws m distinct effective candidates of the instance.
@@ -152,54 +145,6 @@ func checkPrefixConsistency(inst *Instance) error {
 		if direct != pre[i] {
 			return fmt.Errorf("EvaluatePrefixes[%d] = %v but Evaluate(S[:%d]) = %v", i, pre[i], i, direct)
 		}
-	}
-	return nil
-}
-
-func checkParallelIdentity(inst *Instance) error {
-	serial, err := core.NewEngineWorkers(inst.Problem, 1)
-	if err != nil {
-		return err
-	}
-	for _, workers := range []int{2, 8} {
-		par, err := core.NewEngineWorkers(inst.Problem, workers)
-		if err != nil {
-			return err
-		}
-		if s, p := serial.Fingerprint(), par.Fingerprint(); s != p {
-			return fmt.Errorf("arena fingerprint diverges: workers=1 %x vs workers=%d %x", s, workers, p)
-		}
-		for _, sv := range core.Solvers() {
-			want, err := sv.SolveWorkers(serial, 1)
-			if err != nil {
-				return err
-			}
-			got, err := sv.SolveWorkers(par, workers)
-			if err != nil {
-				return err
-			}
-			if err := placementsIdentical(want, got); err != nil {
-				return fmt.Errorf("%s diverges at workers=%d: %w", sv.Name, workers, err)
-			}
-		}
-	}
-	return nil
-}
-
-// placementsIdentical compares two placements under the bit-identity
-// contract: same nodes, same step gains and objective to the last bit
-// (Float64bits, so ±0 and NaN payloads count as differences).
-func placementsIdentical(a, b *core.Placement) error {
-	if !slices.Equal(a.Nodes, b.Nodes) || len(a.StepGains) != len(b.StepGains) {
-		return fmt.Errorf("placements %v vs %v", a.Nodes, b.Nodes)
-	}
-	for i := range a.StepGains {
-		if math.Float64bits(a.StepGains[i]) != math.Float64bits(b.StepGains[i]) {
-			return fmt.Errorf("step %d gain %v vs %v: not bit-identical", i, a.StepGains[i], b.StepGains[i])
-		}
-	}
-	if math.Float64bits(a.Attracted) != math.Float64bits(b.Attracted) {
-		return fmt.Errorf("objective %v vs %v: not bit-identical", a.Attracted, b.Attracted)
 	}
 	return nil
 }
@@ -567,72 +512,6 @@ func checkSimConvergence(inst *Instance) error {
 	if diff := math.Abs(res.MeanCustomers - res.Expected); diff > 6*se+1e-9 {
 		return fmt.Errorf("simulated mean %v is %v away from expectation %v (allowed %v)",
 			res.MeanCustomers, diff, res.Expected, 6*se+1e-9)
-	}
-	return nil
-}
-
-func checkManyToManyIdentity(inst *Instance) error {
-	g := inst.Problem.Graph
-	n := g.NumNodes()
-	r := stats.NewRand(inst.Seed, 31)
-	sources := make([]graph.NodeID, 1+r.Intn(n))
-	for i := range sources {
-		sources[i] = graph.NodeID(r.Intn(n))
-	}
-	targets := make([]graph.NodeID, 1+r.Intn(1+n/2))
-	for i := range targets {
-		targets[i] = graph.NodeID(r.Intn(n))
-	}
-	rect, err := g.ManyToMany(sources, targets, 1)
-	if err != nil {
-		return err
-	}
-	for j, tgt := range targets {
-		tree, err := g.ShortestTo(tgt)
-		if err != nil {
-			return err
-		}
-		for i, s := range sources {
-			got, want := rect.Dist(i, j), tree.Dist(s)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				return fmt.Errorf("m2m dist(%d->%d) = %v, Dijkstra %v", s, tgt, got, want)
-			}
-		}
-	}
-	// Parallel identity: the fan-out may change speed, never bits.
-	for _, workers := range []int{2, 8} {
-		pr, err := g.ManyToMany(sources, targets, workers)
-		if err != nil {
-			return err
-		}
-		for i := range sources {
-			for j := range targets {
-				if math.Float64bits(pr.Dist(i, j)) != math.Float64bits(rect.Dist(i, j)) {
-					return fmt.Errorf("m2m workers=%d: dist(%d,%d) differs from serial", workers, i, j)
-				}
-			}
-		}
-	}
-	// Grouped form, as the engine consumes it: per-target source subsets.
-	groups := make([]graph.M2MGroup, len(targets))
-	for gi, tgt := range targets {
-		k := 1 + r.Intn(len(sources))
-		groups[gi] = graph.M2MGroup{Target: tgt, Sources: sources[:k]}
-	}
-	cols, err := g.ManyToManyGrouped(groups, 4)
-	if err != nil {
-		return err
-	}
-	for gi, grp := range groups {
-		for k, s := range grp.Sources {
-			// The rectangle already verified against Dijkstra above; the
-			// grouped answer must match it bit-for-bit.
-			si := k // sources[:k'] keeps original positions
-			if math.Float64bits(cols[gi][k]) != math.Float64bits(rect.Dist(si, gi)) {
-				return fmt.Errorf("grouped m2m group %d source %d = %v, rect %v",
-					gi, s, cols[gi][k], rect.Dist(si, gi))
-			}
-		}
 	}
 	return nil
 }

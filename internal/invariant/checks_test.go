@@ -2,6 +2,7 @@ package invariant
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"roadside/internal/core"
@@ -30,25 +31,61 @@ func TestInvariantsHoldOnEnsemble(t *testing.T) {
 	}
 }
 
-// TestPlacementsIdenticalComparesBits pins the comparator to bit patterns:
-// a -0 step gain differs from +0, and one NaN payload from another, even
-// though != would call the first pair equal and every NaN pair different.
-func TestPlacementsIdenticalComparesBits(t *testing.T) {
-	mk := func(gain, attracted float64) *core.Placement {
-		return &core.Placement{Nodes: []graph.NodeID{3, 1}, StepGains: []float64{2, gain}, Attracted: attracted}
-	}
+// TestSameOutcomeReportsEveryDifference pins the differential driver's
+// comparator: a driver that compared nothing would still pass
+// TestInvariantsHoldOnEnsemble, so each kind of difference a variant can
+// show must be reported, and an identical outcome (NaN payload included)
+// must not be.
+func TestSameOutcomeReportsEveryDifference(t *testing.T) {
 	nan := math.NaN()
-	if err := placementsIdentical(mk(0, nan), mk(0, nan)); err != nil {
-		t.Errorf("identical placements (NaN objective) reported different: %v", err)
+	base := func() *outcome {
+		return &outcome{
+			fingerprints: []uint64{0xfeed, 7},
+			placements: []*core.Placement{
+				{Nodes: []graph.NodeID{3, 1}, StepGains: []float64{2, 1}, Attracted: 3},
+			},
+			values: []float64{0, nan, 1.5},
+		}
 	}
-	if err := placementsIdentical(mk(0, 1), mk(math.Copysign(0, -1), 1)); err == nil {
-		t.Error("+0 and -0 step gains reported identical")
+	if err := sameOutcome(base(), base()); err != nil {
+		t.Fatalf("identical outcomes reported different: %v", err)
 	}
-	otherNaN := math.Float64frombits(math.Float64bits(nan) ^ 1)
-	if err := placementsIdentical(mk(0, nan), mk(0, otherNaN)); err == nil {
-		t.Error("different NaN payloads reported identical")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*outcome)
+	}{
+		{"flipped fingerprint bit", func(o *outcome) { o.fingerprints[1] ^= 1 << 40 }},
+		{"swapped nodes", func(o *outcome) { o.placements[0].Nodes = []graph.NodeID{1, 3} }},
+		{"+0 vs -0 value", func(o *outcome) { o.values[0] = math.Copysign(0, -1) }},
+		{"NaN payloads", func(o *outcome) { o.values[1] = math.Float64frombits(math.Float64bits(nan) ^ 1) }},
+		{"fingerprint count", func(o *outcome) { o.fingerprints = o.fingerprints[:1] }},
+		{"placement count", func(o *outcome) { o.placements = append(o.placements, o.placements[0]) }},
+		{"value count", func(o *outcome) { o.values = o.values[:2] }},
+	} {
+		got := base()
+		tc.mutate(got)
+		if err := sameOutcome(base(), got); err == nil {
+			t.Errorf("%s: reported identical", tc.name)
+		}
+		if err := sameOutcome(got, base()); err == nil {
+			t.Errorf("%s (sides swapped): reported identical", tc.name)
+		}
 	}
-	if err := placementsIdentical(mk(0, 1), &core.Placement{Nodes: []graph.NodeID{3}, StepGains: []float64{2}, Attracted: 1}); err == nil {
-		t.Error("a shorter placement reported identical")
+}
+
+// TestDifferentialCheckRunsEveryVariant pins the driver: a row whose last
+// variant diverges from its reference fails, and the error names that
+// variant.
+func TestDifferentialCheckRunsEveryVariant(t *testing.T) {
+	fixed := func(v float64) func(*Instance) (*outcome, error) {
+		return func(*Instance) (*outcome, error) { return &outcome{values: []float64{v}}, nil }
+	}
+	row := differential("test-row", "", fixed(1), variant{"same", fixed(1)}, variant{"broken", fixed(2)})
+	err := row.Check(&Instance{})
+	if err == nil || !strings.Contains(err.Error(), "broken") {
+		t.Fatalf("check = %v, want a divergence naming the broken variant", err)
+	}
+	if err := differential("test-row", "", fixed(1), variant{"same", fixed(1)}).Check(&Instance{}); err != nil {
+		t.Fatalf("matching row reported %v", err)
 	}
 }

@@ -2,10 +2,10 @@ package serve
 
 import (
 	"encoding/json"
-	"math"
 	"net/http"
 	"testing"
 
+	"roadside/internal/core"
 	"roadside/internal/testutil"
 	"roadside/internal/utility"
 )
@@ -62,21 +62,8 @@ func TestBatchMatchesSequentialPlaces(t *testing.T) {
 		if batch.Digest != want.Digest {
 			t.Fatalf("batch digest %q, place digest %q", batch.Digest, want.Digest)
 		}
-		if len(got.Nodes) != len(want.Nodes) {
-			t.Fatalf("item %d: batch %v, sequential %v", i, got.Nodes, want.Nodes)
-		}
-		for s := range got.Nodes {
-			if got.Nodes[s] != want.Nodes[s] {
-				t.Fatalf("item %d: batch %v, sequential %v", i, got.Nodes, want.Nodes)
-			}
-			if math.Float64bits(got.StepGains[s]) != math.Float64bits(want.StepGains[s]) {
-				t.Fatalf("item %d step %d: batch gain %v, sequential %v: not bit-identical",
-					i, s, got.StepGains[s], want.StepGains[s])
-			}
-		}
-		if math.Float64bits(got.Attracted) != math.Float64bits(want.Attracted) {
-			t.Fatalf("item %d: batch attracted %v, sequential %v: not bit-identical",
-				i, got.Attracted, want.Attracted)
+		if err := core.SamePlacement(placeOf(&want), itemOf(&got)); err != nil {
+			t.Fatalf("item %d: batch vs sequential: %v", i, err)
 		}
 	}
 }
@@ -182,9 +169,8 @@ func TestBatchByDigestSharesLineage(t *testing.T) {
 		t.Errorf("by-reference cache = %q, want %q", ref.Cache, CacheHit)
 	}
 	for i := range items {
-		a, b := seed.Items[i], ref.Items[i]
-		if math.Float64bits(a.Attracted) != math.Float64bits(b.Attracted) {
-			t.Errorf("item %d: by-reference attracted %v, seeded %v", i, b.Attracted, a.Attracted)
+		if err := core.SamePlacement(itemOf(&seed.Items[i]), itemOf(&ref.Items[i])); err != nil {
+			t.Errorf("item %d: by-reference vs seeded: %v", i, err)
 		}
 	}
 	if builds := s.Metrics().Counter("serve.engine.builds").Value(); builds != 1 {
@@ -221,16 +207,7 @@ func TestBatchLazyWarmMatchesCold(t *testing.T) {
 	if err := json.Unmarshal(body, &batch); err != nil {
 		t.Fatal(err)
 	}
-	got := batch.Items[0]
-	if len(got.Nodes) != len(want.Nodes) {
-		t.Fatalf("warm batch %v, cold oracle %v", got.Nodes, want.Nodes)
-	}
-	for i := range got.Nodes {
-		if got.Nodes[i] != want.Nodes[i] {
-			t.Fatalf("warm batch %v, cold oracle %v", got.Nodes, want.Nodes)
-		}
-	}
-	if math.Float64bits(got.Attracted) != math.Float64bits(want.Attracted) {
-		t.Fatalf("warm batch attracted %v, cold oracle %v: not bit-identical", got.Attracted, want.Attracted)
+	if err := core.SamePlacement(want, itemOf(&batch.Items[0])); err != nil {
+		t.Fatalf("warm batch vs cold oracle: %v", err)
 	}
 }

@@ -6,13 +6,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"roadside/internal/core"
 )
 
 // submitJob POSTs one job envelope and decodes the accepted JobStatus.
@@ -100,16 +101,8 @@ func TestJobLifecycle(t *testing.T) {
 	if err := json.Unmarshal(resultJSON, &got); err != nil {
 		t.Fatalf("job result is not a PlaceResponse: %v (%s)", err, resultJSON)
 	}
-	if len(got.Nodes) != len(want.Nodes) {
-		t.Fatalf("job %v, sync %v", got.Nodes, want.Nodes)
-	}
-	for i := range got.Nodes {
-		if got.Nodes[i] != want.Nodes[i] {
-			t.Fatalf("job %v, sync %v", got.Nodes, want.Nodes)
-		}
-	}
-	if math.Float64bits(got.Attracted) != math.Float64bits(want.Attracted) {
-		t.Fatalf("job attracted %v, sync %v: not bit-identical", got.Attracted, want.Attracted)
+	if err := core.SamePlacement(placeOf(&want), placeOf(&got)); err != nil {
+		t.Fatalf("job vs sync: %v", err)
 	}
 }
 
@@ -569,18 +562,7 @@ func awaitAndCheckJob(url, id string, p *raceProblem) error {
 			if got.Digest != p.digest {
 				return fmt.Errorf("digest %q, want %q", got.Digest, p.digest)
 			}
-			if len(got.Nodes) != len(p.want.Nodes) {
-				return fmt.Errorf("served %v, oracle %v", got.Nodes, p.want.Nodes)
-			}
-			for i := range got.Nodes {
-				if got.Nodes[i] != p.want.Nodes[i] {
-					return fmt.Errorf("served %v, oracle %v", got.Nodes, p.want.Nodes)
-				}
-			}
-			if math.Float64bits(got.Attracted) != math.Float64bits(p.want.Attracted) {
-				return fmt.Errorf("attracted %v, oracle %v: not bit-identical", got.Attracted, p.want.Attracted)
-			}
-			return nil
+			return core.SamePlacement(p.want, placeOf(&got))
 		case JobFailed, JobCanceled:
 			return fmt.Errorf("job finished as %q: %+v", st.State, st.Error)
 		}

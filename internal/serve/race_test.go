@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"sync"
@@ -87,18 +86,7 @@ func checkPlace(url string, p *raceProblem) error {
 	if got.Digest != p.digest {
 		return fmt.Errorf("digest %q, want %q", got.Digest, p.digest)
 	}
-	if len(got.Nodes) != len(p.want.Nodes) {
-		return fmt.Errorf("served %v, oracle %v", got.Nodes, p.want.Nodes)
-	}
-	for i := range got.Nodes {
-		if got.Nodes[i] != p.want.Nodes[i] {
-			return fmt.Errorf("served %v, oracle %v", got.Nodes, p.want.Nodes)
-		}
-	}
-	if math.Float64bits(got.Attracted) != math.Float64bits(p.want.Attracted) {
-		return fmt.Errorf("attracted %v, oracle %v: not bit-identical", got.Attracted, p.want.Attracted)
-	}
-	return nil
+	return core.SamePlacement(p.want, placeOf(&got))
 }
 
 // TestConcurrentClientsCoalesce is the headline concurrency acceptance

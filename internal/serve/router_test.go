@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"roadside/internal/core"
 	"roadside/internal/graph"
 )
 
@@ -497,16 +497,8 @@ func TestRouterIdenticalAnswerToSingleWorker(t *testing.T) {
 		if err := json.Unmarshal(direct, &b); err != nil {
 			t.Fatal(err)
 		}
-		if len(a.Nodes) != len(b.Nodes) {
-			t.Fatalf("%s: routed %v, direct %v", algo, a.Nodes, b.Nodes)
-		}
-		for i := range a.Nodes {
-			if a.Nodes[i] != b.Nodes[i] {
-				t.Fatalf("%s: routed %v, direct %v", algo, a.Nodes, b.Nodes)
-			}
-		}
-		if math.Float64bits(a.Attracted) != math.Float64bits(b.Attracted) {
-			t.Fatalf("%s: routed attracted %v, direct %v: not bit-identical", algo, a.Attracted, b.Attracted)
+		if err := core.SamePlacement(placeOf(&b), placeOf(&a)); err != nil {
+			t.Fatalf("%s: routed vs direct: %v", algo, err)
 		}
 	}
 }

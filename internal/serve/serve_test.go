@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -66,6 +65,15 @@ func mustMarshal(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return append(b, '\n')
+}
+
+// placeOf and itemOf wrap served placements for core.SamePlacement.
+func placeOf(r *PlaceResponse) *core.Placement {
+	return &core.Placement{Nodes: r.Nodes, Attracted: r.Attracted, StepGains: r.StepGains, StepKinds: r.StepKinds}
+}
+
+func itemOf(r *BatchItemResult) *core.Placement {
+	return &core.Placement{Nodes: r.Nodes, Attracted: r.Attracted, StepGains: r.StepGains, StepKinds: r.StepKinds}
 }
 
 func postJSON(t *testing.T, url string, body []byte) (int, []byte) {
@@ -150,16 +158,8 @@ func TestPlaceMatchesDirectEngine(t *testing.T) {
 	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Nodes) != len(want.Nodes) {
-		t.Fatalf("served %v, direct %v", got.Nodes, want.Nodes)
-	}
-	for i := range got.Nodes {
-		if got.Nodes[i] != want.Nodes[i] {
-			t.Fatalf("served %v, direct %v", got.Nodes, want.Nodes)
-		}
-	}
-	if math.Float64bits(got.Attracted) != math.Float64bits(want.Attracted) {
-		t.Fatalf("served attracted %v, direct %v: not bit-identical", got.Attracted, want.Attracted)
+	if err := core.SamePlacement(want, placeOf(&got)); err != nil {
+		t.Fatalf("served vs direct: %v", err)
 	}
 	wantDigest, err := core.ProblemDigest(p)
 	if err != nil {

@@ -34,20 +34,8 @@ func oracleLazy(t *testing.T, p *core.Problem) (*core.Engine, *core.Placement) {
 
 func assertPlaceMatches(t *testing.T, got *PlaceResponse, want *core.Placement, label string) {
 	t.Helper()
-	if len(got.Nodes) != len(want.Nodes) {
-		t.Fatalf("%s: served %v, oracle %v", label, got.Nodes, want.Nodes)
-	}
-	for i := range got.Nodes {
-		if got.Nodes[i] != want.Nodes[i] {
-			t.Fatalf("%s: served %v, oracle %v", label, got.Nodes, want.Nodes)
-		}
-		if math.Float64bits(got.StepGains[i]) != math.Float64bits(want.StepGains[i]) {
-			t.Fatalf("%s: step %d gain %v vs oracle %v: not bit-identical",
-				label, i, got.StepGains[i], want.StepGains[i])
-		}
-	}
-	if math.Float64bits(got.Attracted) != math.Float64bits(want.Attracted) {
-		t.Fatalf("%s: attracted %v vs oracle %v: not bit-identical", label, got.Attracted, want.Attracted)
+	if err := core.SamePlacement(want, placeOf(got)); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 }
 
@@ -293,19 +281,8 @@ func TestUpdateLineageRace(t *testing.T) {
 		if err != nil || prBase != base || seq < 0 || seq > rounds {
 			return fmt.Errorf("response digest %q not in lineage %s@[0..%d]", pr.Digest, base, rounds)
 		}
-		want := oraclePls[seq]
-		if len(pr.Nodes) != len(want.Nodes) {
-			return fmt.Errorf("seq %d: served %v, oracle %v", seq, pr.Nodes, want.Nodes)
-		}
-		for i := range pr.Nodes {
-			if pr.Nodes[i] != want.Nodes[i] ||
-				math.Float64bits(pr.StepGains[i]) != math.Float64bits(want.StepGains[i]) {
-				return fmt.Errorf("seq %d: torn placement %v (gains %v), oracle %v (gains %v)",
-					seq, pr.Nodes, pr.StepGains, want.Nodes, want.StepGains)
-			}
-		}
-		if math.Float64bits(pr.Attracted) != math.Float64bits(want.Attracted) {
-			return fmt.Errorf("seq %d: attracted %v, oracle %v", seq, pr.Attracted, want.Attracted)
+		if err := core.SamePlacement(oraclePls[seq], placeOf(pr)); err != nil {
+			return fmt.Errorf("seq %d: torn placement: %w", seq, err)
 		}
 		return nil
 	}

@@ -9,7 +9,8 @@
 #      carries an 80% floor from the placement-service work;
 #      internal/model carries an 85% floor from the coverage-economics
 #      work, backed by internal/stats at 90%; internal/wire carries a 90%
-#      floor from the wire-codec work).
+#      floor from the wire-codec work; internal/invariant carries an 80%
+#      floor from the differential-harness work).
 #
 # The profile is left at ${COVER_PROFILE:-/tmp/coverage.out} so CI can
 # upload it as an artifact. Raise the baseline when coverage improves;
@@ -50,5 +51,6 @@ check_pkg roadside/internal/serve 80
 check_pkg roadside/internal/model 85
 check_pkg roadside/internal/stats 90
 check_pkg roadside/internal/wire 90
+check_pkg roadside/internal/invariant 80
 
 echo "coverage gate: passed (profile at $profile)"
