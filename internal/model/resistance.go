@@ -31,11 +31,15 @@ type Resistance struct {
 	// toward the base objective.
 	Scale float64
 	// DenseLimit is the interior-node count up to which the grounded
-	// system is solved by one dense Cholesky factorization; larger
-	// systems fall back to per-node conjugate gradients. 0 means
+	// system is solved by one dense Cholesky factorization (envelope-
+	// aware, with the resistances read off by one-sided unit solves);
+	// larger systems fall back to per-node conjugate gradients. 0 means
 	// DefaultDenseLimit. The two paths agree to solver tolerance (pinned
 	// by the differential tests), and each is individually deterministic,
-	// so engine construction keeps the bit-identity contract.
+	// so engine construction keeps the bit-identity contract. The default
+	// stays 512 although the dense path is cheap well beyond it: the
+	// resolved limit is part of Params and so of every digest, and moving
+	// it would switch mid-size fields from CG to dense (DESIGN.md §3.21).
 	DenseLimit int
 	// Tol is the CG relative residual tolerance; 0 means DefaultCGTol.
 	Tol float64
@@ -306,22 +310,19 @@ func (m Resistance) Field(g *graph.Graph, shops, need []graph.NodeID) ([]float64
 	if len(interior) == 0 {
 		return res, nil
 	}
-	rowOf := make(map[graph.NodeID]int, len(interior))
-	for i, v := range interior {
-		rowOf[v] = i
-	}
 	if sp.N <= m.denseLimit() {
 		l, err := stats.Cholesky(sp.Dense())
 		if err != nil {
 			return nil, fmt.Errorf("model: grounded laplacian not SPD: %w", err)
 		}
-		e := make([]float64, sp.N)
-		for i, v := range interior {
-			e[i] = 1
-			res[v] = stats.CholeskySolve(l, e)[i]
-			e[i] = 0
+		for i, r := range stats.CholeskyInverseDiag(l) {
+			res[interior[i]] = r
 		}
 		return res, nil
+	}
+	rowOf := make(map[graph.NodeID]int, len(interior))
+	for i, v := range interior {
+		rowOf[v] = i
 	}
 	maxIter := m.MaxIter
 	if maxIter == 0 {

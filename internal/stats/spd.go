@@ -12,7 +12,9 @@ import (
 // accessibility to the shop, which reduces to the diagonal of the inverse
 // of a grounded graph Laplacian — a symmetric positive-definite system.
 // Three solvers cover the size spectrum: a dense Cholesky factorization
-// for the instances the figure runners use, a conjugate-gradient iteration
+// for the instances the figure runners use (factored inside the matrix's
+// envelope, with the inverse diagonal read off by one-sided unit solves
+// that are bitwise the full substitutions), a conjugate-gradient iteration
 // for larger graphs (matrix-free over a CSR operator, deterministic
 // iteration order so engine construction keeps the bit-identity contract),
 // and a Gauss-Jordan dense inverse that shares no code with Cholesky and
@@ -72,25 +74,42 @@ func (m *SparseSPD) Dense() [][]float64 {
 // returns the lower-triangular factor L. Only a's lower triangle is read;
 // a is not modified. Returns ErrNotSPD when a pivot is non-positive (or
 // NaN), which is how callers detect a non-SPD input.
+//
+// The factorization works inside a's envelope: row i's entries left of
+// its first non-+0 column lo[i] are bitwise +0, so L's are too, and every
+// dot product starts at max(lo[i], lo[j]). Each skipped term is a product
+// with an exact +0 factor, i.e. ±0, and the running sum it would be
+// subtracted from is never −0 (it starts at a non-−0 entry of a, and exact
+// cancellation rounds to +0), so subtracting it would change nothing. For
+// finite a with no −0 in its lower triangle — everything SparseSPD.Dense
+// produces — L is therefore bitwise the unskipped factorization's,
+// including its +0s (DESIGN.md §3.21).
 func Cholesky(a [][]float64) ([][]float64, error) {
 	n := len(a)
+	lo := envelope(a)
 	l := make([][]float64, n)
 	for i := range l {
 		l[i] = make([]float64, n)
 	}
 	for j := 0; j < n; j++ {
 		d := a[j][j]
-		for k := 0; k < j; k++ {
-			d -= l[j][k] * l[j][k]
+		for _, v := range l[j][lo[j]:j] {
+			d -= v * v
 		}
 		if !(d > 0) { // catches d <= 0 and NaN in one comparison
 			return nil, fmt.Errorf("%w: pivot %v at column %d", ErrNotSPD, d, j)
 		}
 		l[j][j] = math.Sqrt(d)
 		for i := j + 1; i < n; i++ {
+			if lo[i] > j {
+				continue // outside row i's envelope: l[i][j] stays +0
+			}
+			k0 := max(lo[i], lo[j])
+			li, lj := l[i][k0:j], l[j][k0:j]
+			lj = lj[:len(li)]
 			s := a[i][j]
-			for k := 0; k < j; k++ {
-				s -= l[i][k] * l[j][k]
+			for k, v := range li {
+				s -= v * lj[k]
 			}
 			l[i][j] = s / l[j][j]
 		}
@@ -98,27 +117,85 @@ func Cholesky(a [][]float64) ([][]float64, error) {
 	return l, nil
 }
 
-// CholeskySolve solves L*Lᵀ*x = b given the lower factor L from Cholesky,
-// by one forward and one backward substitution. b is not modified.
-func CholeskySolve(l [][]float64, b []float64) []float64 {
+// CholeskyInverseDiag returns the diagonal of (L*Lᵀ)⁻¹ given the lower
+// factor L from Cholesky: entry i is bitwise what a full forward and
+// backward substitution for the unit vector e_i yields at row i. Each
+// solve is one-sided. The forward sweep starts at row i, because y[k<i]
+// is exactly +0 and y[i] is exactly 1/L[i][i]. The backward sweep stops
+// at row i and reads a transposed copy of L row-wise. Both inner loops
+// skip L's +0s outside its envelope; as in Cholesky, every skipped term
+// is ±0 subtracted from a sum that is never −0. The precondition is that
+// of Cholesky: L finite with a positive diagonal, which every successful
+// factorization of finite input returns.
+func CholeskyInverseDiag(l [][]float64) []float64 {
 	n := len(l)
+	lo := envelope(l)
+	// lt[j] holds column j of L below the diagonal, rows j+1 up to the
+	// last row whose envelope reaches column j.
+	last := make([]int, n)
+	for k := range last {
+		last[k] = k
+	}
+	for k := 0; k < n; k++ {
+		for m := lo[k]; m < k; m++ {
+			last[m] = k
+		}
+	}
+	lt := make([][]float64, n)
+	for j := range lt {
+		lt[j] = make([]float64, last[j]-j)
+	}
+	for k := 0; k < n; k++ {
+		for m := lo[k]; m < k; m++ {
+			lt[m][k-m-1] = l[k][m]
+		}
+	}
+
+	diag := make([]float64, n)
 	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= l[i][k] * y[k]
-		}
-		y[i] = s / l[i][i]
-	}
 	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
+	for i := 0; i < n; i++ {
+		y[i] = 1 / l[i][i]
 		for k := i + 1; k < n; k++ {
-			s -= l[k][i] * x[k]
+			m0 := max(i, lo[k])
+			lk := l[k][m0:k]
+			ym := y[m0:k]
+			ym = ym[:len(lk)]
+			var s float64
+			for m, v := range lk {
+				s -= v * ym[m]
+			}
+			y[k] = s / l[k][k]
 		}
-		x[i] = s / l[i][i]
+		for j := n - 1; j >= i; j-- {
+			col := lt[j]
+			xk := x[j+1 : j+1+len(col)]
+			s := y[j]
+			for k, v := range col {
+				s -= v * xk[k]
+			}
+			x[j] = s / l[j][j]
+		}
+		diag[i] = x[i]
 	}
-	return x
+	return diag
+}
+
+// envelope returns, for each row i of the square matrix a, the first
+// column j <= i whose entry is not bitwise +0 (i when there is none).
+// Entries of row i left of it are exactly +0.
+func envelope(a [][]float64) []int {
+	lo := make([]int, len(a))
+	for i, row := range a {
+		lo[i] = i
+		for j := 0; j < i; j++ {
+			if math.Float64bits(row[j]) != 0 {
+				lo[i] = j
+				break
+			}
+		}
+	}
+	return lo
 }
 
 // SPDInverse inverts the matrix a by Gauss-Jordan elimination with partial

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -27,44 +28,63 @@ func ulps(a, b float64) uint64 {
 }
 
 // randomGroundedLaplacian builds the grounded Laplacian of a random
-// connected undirected graph on n+1 nodes (node n is the ground), returned
-// both sparse and dense. Every node keeps an edge toward its successor and
-// the last node ties to ground, so the system is SPD.
+// connected undirected graph on n+1 nodes (node n is the ground). Every
+// node keeps an edge toward its successor and the last node ties to
+// ground, so the system is SPD.
 func randomGroundedLaplacian(rng *rand.Rand, n int) *SparseSPD {
-	cond := make([][]float64, n)
-	for i := range cond {
-		cond[i] = make([]float64, n+1) // column n is the ground
-	}
-	addEdge := func(i, j int, c float64) {
-		if i > j {
-			i, j = j, i
-		}
-		cond[i][j] += c
-	}
+	cond := newConductances(n)
 	for i := 0; i+1 < n; i++ {
-		addEdge(i, i+1, 0.1+rng.Float64()*9.9)
+		cond.add(i, i+1, 0.1+rng.Float64()*9.9)
 	}
 	if n > 0 {
-		addEdge(n-1, n, 0.1+rng.Float64()*9.9) // tie to ground
+		cond.add(n-1, n, 0.1+rng.Float64()*9.9) // tie to ground
 	}
 	for e := 0; e < 2*n; e++ {
 		i, j := rng.Intn(n), rng.Intn(n+1)
 		if i != j {
-			addEdge(i, j, 0.1+rng.Float64()*9.9)
+			cond.add(i, j, 0.1+rng.Float64()*9.9)
 		}
 	}
+	return cond.laplacian()
+}
+
+// conductances is the upper triangle of an undirected graph's
+// conductance matrix on n+1 nodes; node n is the ground.
+type conductances [][]float64
+
+func newConductances(n int) conductances {
+	cond := make(conductances, n)
+	for i := range cond {
+		cond[i] = make([]float64, n+1) // column n is the ground
+	}
+	return cond
+}
+
+func (cond conductances) add(i, j int, c float64) {
+	if i > j {
+		i, j = j, i
+	}
+	cond[i][j] += c
+}
+
+func (cond conductances) at(i, j int) float64 {
+	if i > j {
+		i, j = j, i
+	}
+	return cond[i][j]
+}
+
+// laplacian assembles the grounded Laplacian in CSR form, columns
+// ascending: the diagonal carries every incident conductance (ground
+// included), the off-diagonals the negated interior ones.
+func (cond conductances) laplacian() *SparseSPD {
+	n := len(cond)
 	sp := &SparseSPD{N: n, RowOff: make([]int32, n+1)}
-	at := func(i, j int) float64 {
-		if i > j {
-			i, j = j, i
-		}
-		return cond[i][j]
-	}
 	for i := 0; i < n; i++ {
 		var diag float64
 		for j := 0; j <= n; j++ {
 			if j != i {
-				diag += at(i, j)
+				diag += cond.at(i, j)
 			}
 		}
 		for j := 0; j < n; j++ {
@@ -72,14 +92,195 @@ func randomGroundedLaplacian(rng *rand.Rand, n int) *SparseSPD {
 			case j == i:
 				sp.Col = append(sp.Col, int32(j))
 				sp.Val = append(sp.Val, diag)
-			case at(i, j) > 0:
+			case cond.at(i, j) > 0:
 				sp.Col = append(sp.Col, int32(j))
-				sp.Val = append(sp.Val, -at(i, j))
+				sp.Val = append(sp.Val, -cond.at(i, j))
 			}
 		}
 		sp.RowOff[i+1] = int32(len(sp.Col))
 	}
 	return sp
+}
+
+// choleskyRef is the unskipped factorization: every dot product runs
+// over the whole row prefix. It is the reference the envelope-aware
+// Cholesky must reproduce bit for bit.
+func choleskyRef(a [][]float64) ([][]float64, error) {
+	n := len(a)
+	l := make([][]float64, n)
+	for i := range l {
+		l[i] = make([]float64, n)
+	}
+	for j := 0; j < n; j++ {
+		d := a[j][j]
+		for k := 0; k < j; k++ {
+			d -= l[j][k] * l[j][k]
+		}
+		if !(d > 0) {
+			return nil, fmt.Errorf("%w: pivot %v at column %d", ErrNotSPD, d, j)
+		}
+		l[j][j] = math.Sqrt(d)
+		for i := j + 1; i < n; i++ {
+			s := a[i][j]
+			for k := 0; k < j; k++ {
+				s -= l[i][k] * l[j][k]
+			}
+			l[i][j] = s / l[j][j]
+		}
+	}
+	return l, nil
+}
+
+// choleskySolve solves L*Lᵀ*x = b given the lower factor L by one full
+// forward and one full backward substitution. It is the reference
+// CholeskyInverseDiag must reproduce at each diagonal entry.
+func choleskySolve(l [][]float64, b []float64) []float64 {
+	n := len(l)
+	y := make([]float64, n)
+	for i := 0; i < n; i++ {
+		s := b[i]
+		for k := 0; k < i; k++ {
+			s -= l[i][k] * y[k]
+		}
+		y[i] = s / l[i][i]
+	}
+	x := make([]float64, n)
+	for i := n - 1; i >= 0; i-- {
+		s := y[i]
+		for k := i + 1; k < n; k++ {
+			s -= l[k][i] * x[k]
+		}
+		x[i] = s / l[i][i]
+	}
+	return x
+}
+
+// checkFactorIdentity asserts both bit-identity contracts on a: the
+// envelope Cholesky equals choleskyRef entry by entry (the +0s included),
+// and CholeskyInverseDiag(L)[i] equals choleskySolve(L, e_i)[i].
+func checkFactorIdentity(tb testing.TB, name string, a [][]float64) {
+	tb.Helper()
+	want, err := choleskyRef(a)
+	if err != nil {
+		tb.Fatalf("%s: reference factorization: %v", name, err)
+	}
+	l, err := Cholesky(a)
+	if err != nil {
+		tb.Fatalf("%s: Cholesky: %v", name, err)
+	}
+	for i := range want {
+		for j := range want[i] {
+			if math.Float64bits(l[i][j]) != math.Float64bits(want[i][j]) {
+				tb.Fatalf("%s: L[%d][%d] = %v (%#x), reference %v (%#x)", name, i, j,
+					l[i][j], math.Float64bits(l[i][j]), want[i][j], math.Float64bits(want[i][j]))
+			}
+		}
+	}
+	diag := CholeskyInverseDiag(l)
+	if len(diag) != len(a) {
+		tb.Fatalf("%s: CholeskyInverseDiag returned %d entries, want %d", name, len(diag), len(a))
+	}
+	e := make([]float64, len(a))
+	for i := range e {
+		e[i] = 1
+		ref := choleskySolve(l, e)[i]
+		e[i] = 0
+		if math.Float64bits(diag[i]) != math.Float64bits(ref) {
+			tb.Fatalf("%s: inverse diagonal [%d] = %v, full solve %v", name, i, diag[i], ref)
+		}
+	}
+}
+
+// TestCholeskyEnvelopeBitIdentical pins the envelope factorization and
+// the one-sided unit solves to their unskipped references at the bit
+// level, on random grounded Laplacians (wide, ragged envelopes), a fully
+// dense SPD matrix (the envelope is the whole triangle) and a banded
+// Laplacian with long ties to node 0 (exact zeros inside the envelope).
+func TestCholeskyEnvelopeBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(707))
+	for _, n := range []int{1, 2, 3, 8, 17, 33, 64, 200} {
+		checkFactorIdentity(t, fmt.Sprintf("random n=%d", n), randomGroundedLaplacian(rng, n).Dense())
+	}
+
+	// B*Bᵀ + n*I with every entry of B non-zero.
+	const n = 24
+	b := make([][]float64, n)
+	for i := range b {
+		b[i] = make([]float64, n)
+		for j := range b[i] {
+			b[i][j] = 0.5 + rng.Float64()
+		}
+	}
+	dense := make([][]float64, n)
+	for i := range dense {
+		dense[i] = make([]float64, n)
+		for j := range dense[i] {
+			for k := 0; k < n; k++ {
+				dense[i][j] += b[i][k] * b[j][k]
+			}
+		}
+		dense[i][i] += n
+	}
+	checkFactorIdentity(t, "dense", dense)
+
+	// A path grounded at its end, plus a tie from every fifth node back
+	// to node 0: those rows' envelopes start at column 0 but hold zeros
+	// between column 1 and their path neighbour.
+	const m = 40
+	cond := newConductances(m)
+	for i := 0; i+1 < m; i++ {
+		cond.add(i, i+1, 1+rng.Float64())
+	}
+	cond.add(m-1, m, 1)
+	for i := 5; i < m; i += 5 {
+		cond.add(0, i, 0.25)
+	}
+	checkFactorIdentity(t, "zeros in envelope", cond.laplacian().Dense())
+}
+
+// FuzzCholeskyInverseDiag is the differential fuzz target of the dense
+// resistance path: a grounded Laplacian of up to 32 interior nodes,
+// shaped by the fuzz bytes and materialized through SparseSPD.Dense, must
+// satisfy both bit-identity contracts of checkFactorIdentity. The first
+// byte picks n; each node then takes a parent among the earlier nodes or
+// the ground (so every node reaches ground and the system is SPD), and
+// the remaining byte triples add extra streets.
+func FuzzCholeskyInverseDiag(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{7, 0, 1, 2, 3, 4, 5, 6, 7, 9, 200, 1, 3, 50})
+	f.Add([]byte{31, 255, 254, 253, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 1 + int(data[0])%32
+		data = data[1:]
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			v := int(data[0])
+			data = data[1:]
+			return v
+		}
+		weight := func(v int) float64 { return 0.125 + float64(v)/16 }
+		cond := newConductances(n)
+		for i := 0; i < n; i++ {
+			parent := next() % (i + 1)
+			if parent == i {
+				parent = n // tie to ground
+			}
+			cond.add(i, parent, weight(next()))
+		}
+		for len(data) >= 3 {
+			i, j := next()%n, next()%(n+1)
+			c := weight(next())
+			if i != j {
+				cond.add(i, j, c)
+			}
+		}
+		checkFactorIdentity(t, fmt.Sprintf("fuzz n=%d", n), cond.laplacian().Dense())
+	})
 }
 
 // TestCholeskyMatchesSPDInverse is the differential test of the
@@ -101,7 +302,7 @@ func TestCholeskyMatchesSPDInverse(t *testing.T) {
 		e := make([]float64, n)
 		for col := 0; col < n; col++ {
 			e[col] = 1
-			x := CholeskySolve(l, e)
+			x := choleskySolve(l, e)
 			e[col] = 0
 			for row := 0; row < n; row++ {
 				want := inv[row][col]
@@ -166,7 +367,7 @@ func TestSolversExactSystem(t *testing.T) {
 	e := make([]float64, 2)
 	for col := 0; col < 2; col++ {
 		e[col] = 1
-		chol := CholeskySolve(l, e)
+		chol := choleskySolve(l, e)
 		cg, _, err := CG(sp, e, 1e-15, 100)
 		if err != nil {
 			t.Fatal(err)

@@ -1,7 +1,10 @@
 // Package stats provides the small statistical toolkit used by the
 // experiment harness: summary statistics over trial results, deterministic
 // seed derivation so every figure is bit-reproducible, and discrete
-// samplers for the demand generators.
+// samplers for the demand generators. It also holds the SPD solvers of the
+// resistance objective (spd.go): an envelope-aware Cholesky factorization
+// with one-sided unit solves for the inverse diagonal, conjugate gradients
+// for large systems, and a Gauss-Jordan inverse as the test oracle.
 package stats
 
 import (

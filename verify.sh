@@ -25,6 +25,9 @@ go test -run '^$' -fuzz '^FuzzReproRoundTrip$' -fuzztime 10s ./internal/invarian
 echo "==> fuzz smoke: FuzzModelConfig (10s)"
 go test -run '^$' -fuzz '^FuzzModelConfig$' -fuzztime 10s ./internal/model
 
+echo "==> fuzz smoke: FuzzCholeskyInverseDiag (10s)"
+go test -run '^$' -fuzz '^FuzzCholeskyInverseDiag$' -fuzztime 10s ./internal/stats
+
 echo "==> fuzz smoke: FuzzServeRequest (10s)"
 go test -run '^$' -fuzz '^FuzzServeRequest$' -fuzztime 10s ./internal/serve
 
