@@ -20,10 +20,13 @@ import (
 //   - a stepRule that picks each step's winner from the scan's argmaxes
 //     and names the solver to the step observer.
 //
-// Every step scans each unplaced candidate against the current state;
-// argmaxes go to the highest gain, ties to the lowest node ID. The scan
-// fans across workers on large instances and is bit-identical to a serial
-// scan (see scanCandidates), so no result depends on the worker count.
+// Step 0 scans every candidate against the empty state; each later step
+// re-scores only the candidates on a flow through the previous winner and
+// reuses every other cached marginal gain, which placing the winner cannot
+// have changed (see eagerScan). Argmaxes go to the highest gain, ties to
+// the lowest node ID. The step-0 scan fans across workers on large
+// instances and is bit-identical to a serial scan, so no result depends on
+// the worker count.
 //
 // All four solvers share one termination contract: the step loop ends as
 // soon as the winning marginal gain drops to zero (or the candidate set is
@@ -110,7 +113,7 @@ func pickComposite(b *scanBest) (scanned, string) {
 // re-evaluated.
 func (e *Engine) eagerGreedy(workers int, st stepState, rule *stepRule) *Placement {
 	k := e.p.K
-	placed := e.newPlacedSet()
+	sc := e.newEagerScan(st)
 	result := &Placement{
 		Nodes:     make([]graph.NodeID, 0, k),
 		StepGains: make([]float64, 0, k),
@@ -120,14 +123,13 @@ func (e *Engine) eagerGreedy(workers int, st stepState, rule *stepRule) *Placeme
 	}
 	o := e.observer()
 	for step := 0; step < k; step++ {
-		scan, ss := e.scanCandidates(workers, placed, st)
-		w, kind := rule.pick(&scan)
+		best, ss := sc.scan(workers)
+		w, kind := rule.pick(&best)
 		gain := w.u + w.c
 		if gain <= 0 {
 			break
 		}
-		placed.add(w.node)
-		st.place(e, w.node)
+		sc.place(w.node)
 		result.Nodes = append(result.Nodes, w.node)
 		result.StepGains = append(result.StepGains, gain)
 		if rule.kinds {

@@ -88,50 +88,197 @@ func (b *scanBest) merge(o scanBest) {
 // greedy solvers forward it to the step observer so candidate-evaluation
 // counts are measured rather than estimated.
 type scanStats struct {
-	evaluated int // unplaced candidates evaluated
+	evaluated int // marginal-gain evaluations
 	chunks    int // contiguous chunks the scan fanned across (1 = inline)
 }
 
-// scanCandidates evaluates st.marginalGain(v) = (uncovered, covered) for
-// every unplaced candidate and returns the argmaxes plus scan statistics.
-// With workers > 1 and enough candidates, contiguous candidate chunks are
-// scanned concurrently; the merge order is irrelevant because betterKey is
-// a strict total order over (gain, node), so the result is bit-identical
-// to the serial scan. marginalGain must be a pure read of the step state —
-// scans never overlap with state mutation.
-func (e *Engine) scanCandidates(workers int, placed placedSet, st stepState) (scanBest, scanStats) {
-	cands := e.cands
-	if workers <= 1 || len(cands) < minParallelScan {
-		best, evaluated := e.scanRange(cands, placed, st)
-		return best, scanStats{evaluated: evaluated, chunks: 1}
-	}
-	chunks := par.Chunks(len(cands), workers)
-	partial := make([]scanBest, len(chunks))
-	counts := make([]int, len(chunks))
-	par.Do(len(chunks), workers, func(ci int) {
-		partial[ci], counts[ci] = e.scanRange(cands[chunks[ci][0]:chunks[ci][1]], placed, st)
-	})
-	best := newScanBest()
-	stats := scanStats{chunks: len(chunks)}
-	for i, p := range partial {
-		best.merge(p)
-		stats.evaluated += counts[i]
-	}
-	return best, stats
+// scanBlock is how many consecutive candidate positions share one cached
+// argmax in eagerScan: a re-scored candidate costs a rescan of its block,
+// and every step folds one argmax per block.
+const scanBlock = 256
+
+// eagerScan is one eager solve's placed set, step state and incremental
+// scan. The first scan evaluates every candidate; each later one
+// re-evaluates only the candidates on a flow through the node placed
+// since, because st.marginalGain(v) reads the step state only at flows
+// through v and st.place(w) writes it only at flows through w — every
+// other candidate's cached pair is what a fresh evaluation would return,
+// bit for bit. Argmaxes are cached per block of scanBlock positions; a
+// scan rescans the blocks its re-scored candidates (and the placed node)
+// fall in and folds all blocks with scanBest.merge, which betterKey's
+// strict total order makes equal to a full scan's argmax.
+//
+// The cache is keyed by position in e.cands, not by node: Problem.Candidates
+// may repeat a node, so a parallel scan keyed by node would race. The
+// first/next chains list every position of a node, and a re-scored node is
+// evaluated once and written to all of them.
+type eagerScan struct {
+	e      *Engine
+	st     stepState
+	set    placedSet
+	last   graph.NodeID // the node placed since the last scan; Invalid before the first
+	placed int          // nodes placed so far
+
+	u, c   []float64  // each position's pair as of its last evaluation
+	blocks []scanBest // per-block argmaxes over the unplaced positions
+
+	first  []int32 // first position of node candLo+i, -1 for a non-candidate
+	next   []int32 // next position holding the same node, -1 at the last
+	marked []int32 // the placed count when node candLo+i was last marked dirty
+	dirty  []graph.NodeID
+	// touchedAt is the placed count when each block was last queued for a
+	// rescan.
+	touchedAt []int32
+	touched   []int
 }
 
-// scanRange is one serial scan over cands: the running argmaxes and the
-// number of unplaced candidates evaluated.
-func (e *Engine) scanRange(cands []graph.NodeID, placed placedSet, st stepState) (scanBest, int) {
-	best := newScanBest()
-	evaluated := 0
-	for _, v := range cands {
-		if placed.has(v) {
-			continue
-		}
-		u, c := st.marginalGain(e, v)
-		best.consider(scanned{node: v, u: u, c: c})
-		evaluated++
+func (e *Engine) newEagerScan(st stepState) *eagerScan {
+	n := len(e.cands)
+	s := &eagerScan{
+		e: e, st: st, set: e.newPlacedSet(), last: graph.Invalid,
+		u: make([]float64, n), c: make([]float64, n),
+		blocks:    make([]scanBest, (n+scanBlock-1)/scanBlock),
+		first:     make([]int32, e.candSpan),
+		next:      make([]int32, n),
+		marked:    make([]int32, e.candSpan),
+		touchedAt: make([]int32, (n+scanBlock-1)/scanBlock),
 	}
-	return best, evaluated
+	for i := range s.first {
+		s.first[i] = -1
+	}
+	for p := n - 1; p >= 0; p-- {
+		i := e.cands[p] - e.candLo
+		s.next[p] = s.first[i]
+		s.first[i] = int32(p)
+	}
+	return s
+}
+
+// place adds v to the placement and the step state.
+func (s *eagerScan) place(v graph.NodeID) {
+	s.set.add(v)
+	s.st.place(s.e, v)
+	s.last = v
+	s.placed++
+}
+
+// scan returns the argmaxes over the unplaced candidates and the scan
+// statistics: a full scan before the first placement, else a re-score of
+// the candidates on the last placed node's flows.
+func (s *eagerScan) scan(workers int) (scanBest, scanStats) {
+	if s.last == graph.Invalid {
+		return s.full(workers)
+	}
+	evaluated := s.rescore()
+	best := newScanBest()
+	for _, b := range s.blocks {
+		best.merge(b)
+	}
+	return best, scanStats{evaluated: evaluated, chunks: 1}
+}
+
+// full evaluates every candidate into the cache; nothing is placed yet.
+// With workers > 1 and enough candidates, contiguous runs of blocks are scanned
+// concurrently; each writes only its own positions and blocks, and the
+// merge order is irrelevant because betterKey is a strict total order, so
+// the result is bit-identical to the serial scan. marginalGain must be a
+// pure read of the step state — scans never overlap with state mutation.
+func (s *eagerScan) full(workers int) (scanBest, scanStats) {
+	nb, n := len(s.blocks), len(s.e.cands)
+	if workers <= 1 || n < minParallelScan {
+		return s.scanBlocks(0, nb), scanStats{evaluated: n, chunks: 1}
+	}
+	chunks := par.Chunks(nb, workers)
+	partial := make([]scanBest, len(chunks))
+	par.Do(len(chunks), workers, func(ci int) {
+		partial[ci] = s.scanBlocks(chunks[ci][0], chunks[ci][1])
+	})
+	best := newScanBest()
+	for _, p := range partial {
+		best.merge(p)
+	}
+	return best, scanStats{evaluated: n, chunks: len(chunks)}
+}
+
+// scanBlocks evaluates the candidates of blocks [b0, b1), caching their
+// pairs and block argmaxes, and returns the range's argmaxes.
+func (s *eagerScan) scanBlocks(b0, b1 int) scanBest {
+	e := s.e
+	best := newScanBest()
+	for b := b0; b < b1; b++ {
+		bb := newScanBest()
+		lo, hi := s.blockRange(b)
+		for p := lo; p < hi; p++ {
+			v := e.cands[p]
+			s.u[p], s.c[p] = s.st.marginalGain(e, v)
+			bb.consider(scanned{node: v, u: s.u[p], c: s.c[p]})
+		}
+		s.blocks[b] = bb
+		best.merge(bb)
+	}
+	return best
+}
+
+func (s *eagerScan) blockRange(b int) (int, int) {
+	return b * scanBlock, min((b+1)*scanBlock, len(s.e.cands))
+}
+
+// rescore re-evaluates the candidates on a flow through s.last and
+// rescans the blocks holding them. It returns the number of evaluations:
+// the distinct unplaced candidates on those flows. s.last is itself
+// marked — it won with a positive gain, so it lies on one of its flows —
+// which takes its positions out of their blocks' argmaxes. A shard's visit arena holds
+// only its own flows, so each flow through s.last is found in the shard
+// whose bucket listed it.
+func (s *eagerScan) rescore() int {
+	e := s.e
+	stamp := int32(s.placed)
+	s.dirty, s.touched = s.dirty[:0], s.touched[:0]
+	for si := range e.shards {
+		sh := &e.shards[si]
+		lo, hi := sh.visitRange(s.last)
+		for _, f := range sh.visitFlow[lo:hi] {
+			a, b := sh.flowRange(int(f))
+			for _, v := range sh.flowNode[a:b] {
+				s.mark(v, stamp)
+			}
+		}
+	}
+	evaluated := 0
+	for _, v := range s.dirty {
+		var u, c float64
+		if !s.set.has(v) {
+			u, c = s.st.marginalGain(e, v)
+			evaluated++
+		}
+		for p := s.first[v-e.candLo]; p >= 0; p = s.next[p] {
+			s.u[p], s.c[p] = u, c
+			if b := int(p) / scanBlock; s.touchedAt[b] != stamp {
+				s.touchedAt[b] = stamp
+				s.touched = append(s.touched, b)
+			}
+		}
+	}
+	for _, b := range s.touched {
+		bb := newScanBest()
+		lo, hi := s.blockRange(b)
+		for p := lo; p < hi; p++ {
+			if v := e.cands[p]; !s.set.has(v) {
+				bb.consider(scanned{node: v, u: s.u[p], c: s.c[p]})
+			}
+		}
+		s.blocks[b] = bb
+	}
+	return evaluated
+}
+
+// mark queues candidate v for re-scoring once per step; non-candidates
+// are ignored.
+func (s *eagerScan) mark(v graph.NodeID, stamp int32) {
+	i := int(v - s.e.candLo)
+	if i < 0 || i >= len(s.first) || s.first[i] < 0 || s.marked[i] == stamp {
+		return
+	}
+	s.marked[i] = stamp
+	s.dirty = append(s.dirty, v)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -110,7 +111,7 @@ func shardBounds(counts []int, maxShardVisits int) ([][2]int, error) {
 
 // sortedDistinct sorts nodes in place and drops duplicates.
 func sortedDistinct(nodes []graph.NodeID) []graph.NodeID {
-	sort.Slice(nodes, func(a, b int) bool { return nodes[a] < nodes[b] })
+	slices.Sort(nodes)
 	out := nodes[:0]
 	for _, v := range nodes {
 		if k := len(out); k == 0 || out[k-1] != v {
@@ -174,8 +175,14 @@ func buildEngine(p *Problem, workers, maxShardVisits int) (*Engine, error) {
 	// Destination groups, in first-appearance order: the d''' = dist(v, dest)
 	// rectangle is only needed at the path nodes of the flows sharing that
 	// destination, so each distinct destination becomes one many-to-many
-	// group whose sources are the sorted distinct union of those nodes —
-	// instead of one full O(n) reverse tree per destination.
+	// group — instead of one full O(n) reverse tree per destination. A
+	// group's sources are its flows' distinct path nodes concatenated in
+	// flow order, so flow i's column values sit at groupPos[i] onward in
+	// its own node order and the detour pass reads them by span. The search
+	// answers every source position (duplicates included), settles the same
+	// distinct nodes as it would for the sorted union, and a distance does
+	// not depend on the source list, so every value is the union's bit for
+	// bit.
 	nf := p.Flows.Len()
 	destIdx := make(map[graph.NodeID]int, nf)
 	flowGroup := make([]int32, nf)
@@ -206,13 +213,12 @@ func buildEngine(p *Problem, workers, maxShardVisits int) (*Engine, error) {
 	})
 
 	groupNodes := make([][]graph.NodeID, len(groupDest))
+	groupPos := make([]int, nf)
 	for i := 0; i < nf; i++ {
 		gi := flowGroup[i]
+		groupPos[i] = len(groupNodes[gi])
 		groupNodes[gi] = append(groupNodes[gi], pathNodes[i]...)
 	}
-	par.Do(len(groupNodes), workers, func(gi int) {
-		groupNodes[gi] = sortedDistinct(groupNodes[gi])
-	})
 
 	m2mGroups := make([]graph.M2MGroup, len(groupDest))
 	for gi := range groupDest {
@@ -282,18 +288,15 @@ func buildEngine(p *Problem, workers, maxShardVisits int) (*Engine, error) {
 
 		// Detour pass: each flow fills its own flow-arena span, so the
 		// fan-out is index-disjoint and worker-count-independent. d''' comes
-		// from the flow's destination group by binary search — the node is
-		// in the group's sources by construction.
+		// from the flow's span of its destination group's column.
 		detStart := time.Now()
 		par.Do(hi-lo, workers, func(k int) {
 			i := lo + k
 			f := p.Flows.At(i)
-			srcs := groupNodes[flowGroup[i]]
-			col := cols[flowGroup[i]]
+			col := cols[flowGroup[i]][groupPos[i]:]
 			base := int(flowOff[k])
 			for j, v := range pathNodes[i] {
-				pos := sort.Search(len(srcs), func(x int) bool { return srcs[x] >= v })
-				d := detourValue(toShops, fromShops, v, f.Dest, col[pos])
+				d := detourValue(toShops, fromShops, v, f.Dest, col[j])
 				sh.flowNode[base+j] = v
 				sh.flowDetour[base+j] = d
 				if weigher == nil {

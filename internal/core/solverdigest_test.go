@@ -8,7 +8,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"roadside/internal/citygen"
 	"roadside/internal/core"
+	"roadside/internal/flow"
 	"roadside/internal/graph"
 	"roadside/internal/model"
 	"roadside/internal/testutil"
@@ -139,5 +141,89 @@ func TestFrozenSolverDigest(t *testing.T) {
 	}
 	if got := h.Sum64(); got != frozenSolverDigest {
 		t.Fatalf("solver digest %#x, frozen %#x: a solver's output changed", got, uint64(frozenSolverDigest))
+	}
+}
+
+// frozenCityDigest is the digest TestFrozenCityDigest produces. Unlike the
+// 250-node fixtures above, where a placement's flows reach most of the
+// candidate list, these engines are city-scale: a placement touches a small
+// share of the candidates and a flow's path nodes are a small share of its
+// destination group's. It was taken before the eager steps became
+// incremental and the detour pass addressed its columns by flow span, so it
+// pins both to the full-rescan, binary-search code bit for bit.
+const frozenCityDigest = 0xad761c77017e5b4a
+
+// cityFixtures builds the frozen city-scale engines: a 20k-node mega city
+// with hub-local flows, and a Dublin city whose bus routes are the flows.
+func cityFixtures(t *testing.T) map[string]*core.Engine {
+	t.Helper()
+	mega, err := citygen.Mega(20_000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	demand := citygen.LocalDemandConfig{Flows: 2_000, Hubs: 16, MinHops: 8, MaxHops: 48, VolumeMean: 3, Alpha: 1}
+	megaFlows, err := citygen.GenerateLocalFlows(mega, demand, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dublin, err := citygen.Dublin(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes, err := citygen.GenerateRoutes(dublin, citygen.DefaultDemand(), 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dublinFlows, err := citygen.RoutesToFlows(routes, 100, 0.001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(g *graph.Graph, fl []flow.Flow, shop graph.NodeID, d float64) *core.Engine {
+		fs, err := flow.NewSet(fl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := core.NewEngineWorkers(&core.Problem{Graph: g, Shop: shop, Flows: fs, Utility: utility.Linear{D: d}, K: 10}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	return map[string]*core.Engine{
+		"mega":   build(mega.Graph, megaFlows, megaFlows[0].Dest, 20_000),
+		"dublin": build(dublin.Graph, dublinFlows, dublinFlows[0].Path[len(dublinFlows[0].Path)/2], 20_000),
+	}
+}
+
+// TestFrozenCityDigest hashes, on each city fixture, every flow's detour
+// at every node of its path, every candidate's standalone gain, and all
+// four solvers' placements at scan worker counts 1, 2 and 8, and compares
+// the hash to frozenCityDigest.
+func TestFrozenCityDigest(t *testing.T) {
+	engines := cityFixtures(t)
+	h := fnv.New64a()
+	for _, name := range []string{"mega", "dublin"} {
+		e := engines[name]
+		flows := e.Problem().Flows
+		for f := 0; f < flows.Len(); f++ {
+			for _, v := range flows.At(f).Path {
+				writeUint64(h, math.Float64bits(e.Detour(f, v)))
+			}
+		}
+		for _, v := range e.Candidates() {
+			writeUint64(h, math.Float64bits(e.StandaloneGain(v)))
+		}
+		for _, s := range core.Solvers() {
+			for _, workers := range []int{1, 2, 8} {
+				pl, err := s.SolveWorkers(e, workers)
+				if err != nil {
+					t.Fatalf("%s on %s at workers=%d: %v", s.Name, name, workers, err)
+				}
+				writePlacement(h, pl)
+			}
+		}
+	}
+	if got := h.Sum64(); got != frozenCityDigest {
+		t.Fatalf("city digest %#x, frozen %#x: a detour or a solver's output changed", got, uint64(frozenCityDigest))
 	}
 }

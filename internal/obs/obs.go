@@ -37,8 +37,11 @@ type SolverStep struct {
 	// Kind is Algorithm 2's candidate kind ("uncovered"/"covered"), empty
 	// for the other solvers.
 	Kind string
-	// Scanned counts candidate evaluations performed by this step's scan
-	// (for the lazy solver: heap re-evaluations, see Reevals).
+	// Scanned counts the marginal-gain evaluations this step performed.
+	// For the eager solvers, step 0 evaluates every unplaced candidate and
+	// each later step only the candidates on a flow through the previous
+	// winner (the rest keep their cached gains); for the lazy solver it is
+	// the heap re-evaluations, see Reevals.
 	Scanned int
 	// Reevals counts lazy-heap bound refreshes popped before the winner
 	// was certified; zero for the eager solvers.

@@ -28,6 +28,9 @@ go test -run '^$' -fuzz '^FuzzModelConfig$' -fuzztime 10s ./internal/model
 echo "==> fuzz smoke: FuzzCholeskyInverseDiag (10s)"
 go test -run '^$' -fuzz '^FuzzCholeskyInverseDiag$' -fuzztime 10s ./internal/stats
 
+echo "==> fuzz smoke: FuzzEagerIncremental (10s)"
+go test -run '^$' -fuzz '^FuzzEagerIncremental$' -fuzztime 10s ./internal/core
+
 echo "==> fuzz smoke: FuzzServeRequest (10s)"
 go test -run '^$' -fuzz '^FuzzServeRequest$' -fuzztime 10s ./internal/serve
 
