@@ -6,11 +6,15 @@
 // The pool enforces the repo's determinism contract by construction: work
 // items are identified by a dense index and workers write results only to
 // caller-owned, index-disjoint slots, so the assembled output never depends
-// on goroutine scheduling. Do returns only after every item has completed.
+// on goroutine scheduling. Workers claim indices from one shared atomic
+// counter, so which worker runs which index is up to the scheduler, and
+// nothing the caller can observe depends on it. Do returns only after
+// every item has completed.
 package par
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"roadside/internal/obs"
@@ -23,6 +27,14 @@ import (
 //
 // fn must be safe for concurrent invocation with distinct arguments and
 // must confine its writes to per-index state.
+//
+// The parallel path spawns workers goroutines that each claim the next
+// unclaimed index from a shared counter until none is left, so an item
+// costs one atomic add rather than a channel handoff, and at most workers
+// calls of fn are ever in flight. Every fn call on that path runs on a
+// spawned goroutine, never on the caller's: a panic in fn crashes the
+// process instead of unwinding into a caller that might recover it (as
+// net/http does per request) and carry on with half-written output.
 //
 // The parallel path reports one obs.Phase event ("par"/"do") per fan-out to
 // the process observer; the serial path stays free of any observability
@@ -49,20 +61,20 @@ func Do(n, workers int, fn func(i int)) {
 		})
 	}()
 	var wg sync.WaitGroup
-	next := make(chan int, workers)
+	var next atomic.Int64
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				fn(i)
+			for {
+				i := next.Add(1) - 1
+				if i >= int64(n) {
+					return
+				}
+				fn(int(i))
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
 	wg.Wait()
 }
 

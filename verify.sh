@@ -16,6 +16,9 @@ go test -race ./...
 echo "==> fuzz smoke: FuzzGraphJSONRoundTrip (10s)"
 go test -run '^$' -fuzz '^FuzzGraphJSONRoundTrip$' -fuzztime 10s ./internal/graph
 
+echo "==> fuzz smoke: FuzzDistHeap (10s)"
+go test -run '^$' -fuzz '^FuzzDistHeap$' -fuzztime 10s ./internal/graph
+
 echo "==> fuzz smoke: FuzzFlowIO (10s)"
 go test -run '^$' -fuzz '^FuzzFlowIO$' -fuzztime 10s ./internal/flow
 
