@@ -138,21 +138,3 @@ func TestPublicAPISchedule(t *testing.T) {
 		t.Errorf("welfare mismatch: %v vs %v", w, got.Welfare)
 	}
 }
-
-func TestPublicAPIAStar(t *testing.T) {
-	city, err := Dublin(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path, d, err := city.Graph.AStarEuclidean(0, NodeID(city.Graph.NumNodes()-1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, want, err := city.Graph.ShortestPath(0, NodeID(city.Graph.NumNodes()-1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d-want) > 1e-6 || len(path) == 0 {
-		t.Errorf("A* %v vs Dijkstra %v", d, want)
-	}
-}

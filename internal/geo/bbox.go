@@ -20,14 +20,6 @@ func EmptyBBox() BBox {
 	}
 }
 
-// NewBBox builds a box from two arbitrary corner points.
-func NewBBox(a, b Point) BBox {
-	return BBox{
-		Min: Point{X: math.Min(a.X, b.X), Y: math.Min(a.Y, b.Y)},
-		Max: Point{X: math.Max(a.X, b.X), Y: math.Max(a.Y, b.Y)},
-	}
-}
-
 // Square returns the axis-aligned square of side length side centered at c.
 // This is the "D x D square region centered at the shop" used by the
 // paper's Random baseline and Manhattan scenario.

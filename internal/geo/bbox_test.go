@@ -6,9 +6,9 @@ import (
 )
 
 func TestBBoxBasics(t *testing.T) {
-	b := NewBBox(Pt(10, -5), Pt(-2, 7))
+	b := EmptyBBox().Extend(Pt(10, -5)).Extend(Pt(-2, 7))
 	if b.Min != Pt(-2, -5) || b.Max != Pt(10, 7) {
-		t.Fatalf("NewBBox normalized wrong: %v", b)
+		t.Fatalf("Extend normalized wrong: %v", b)
 	}
 	if b.Width() != 12 || b.Height() != 12 {
 		t.Errorf("size = %v x %v", b.Width(), b.Height())
@@ -55,8 +55,8 @@ func TestSquare(t *testing.T) {
 }
 
 func TestUnionInset(t *testing.T) {
-	a := NewBBox(Pt(0, 0), Pt(2, 2))
-	b := NewBBox(Pt(5, 5), Pt(6, 6))
+	a := BBox{Min: Pt(0, 0), Max: Pt(2, 2)}
+	b := BBox{Min: Pt(5, 5), Max: Pt(6, 6)}
 	u := a.Union(b)
 	if u.Min != Pt(0, 0) || u.Max != Pt(6, 6) {
 		t.Errorf("Union = %v", u)

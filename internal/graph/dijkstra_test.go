@@ -128,6 +128,22 @@ func TestShortestToMatchesForward(t *testing.T) {
 	}
 }
 
+// TestAllPairsGridIsManhattan: on a full two-way grid the shortest-path
+// distance between every pair of nodes is their Manhattan distance.
+func TestAllPairsGridIsManhattan(t *testing.T) {
+	const n = 7
+	g := gridGraph(t, n, 100)
+	for u := 0; u < n*n; u++ {
+		tr := mustShortestFrom(t, g, NodeID(u))
+		for v := 0; v < n*n; v++ {
+			want := g.Point(NodeID(u)).Manhattan(g.Point(NodeID(v)))
+			if got := tr.Dist(NodeID(v)); math.Abs(got-want) > 1e-9 {
+				t.Fatalf("grid dist(%d,%d) = %v, want %v", u, v, got, want)
+			}
+		}
+	}
+}
+
 func TestDijkstraInvalidInputs(t *testing.T) {
 	g := line(t, 3)
 	if _, err := g.ShortestFrom(-1); !errors.Is(err, ErrNodeRange) {

@@ -4,9 +4,9 @@
 //
 // The representation is a compressed sparse row (CSR) adjacency for both the
 // forward and reverse direction, which makes single-source and
-// single-destination Dijkstra, all-pairs distances, and shortest-path-DAG
-// queries cache-friendly. Graphs are immutable after Build and safe for
-// concurrent use.
+// single-destination Dijkstra, batched trees, grouped many-to-many
+// distances, and shortest-path-DAG queries cache-friendly. Graphs are
+// immutable after Build and safe for concurrent use.
 package graph
 
 import (

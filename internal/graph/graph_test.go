@@ -9,6 +9,48 @@ import (
 	"roadside/internal/geo"
 )
 
+// gridGraph builds an n x n Manhattan grid with two-way unit streets of
+// length spacing. Node (r,c) has ID r*n+c.
+func gridGraph(tb testing.TB, n int, spacing float64) *Graph {
+	tb.Helper()
+	b := NewBuilder(n*n, 4*n*n)
+	for r := 0; r < n; r++ {
+		for c := 0; c < n; c++ {
+			b.AddNode(geo.Pt(float64(c)*spacing, float64(r)*spacing))
+		}
+	}
+	id := func(r, c int) NodeID { return NodeID(r*n + c) }
+	for r := 0; r < n; r++ {
+		for c := 0; c < n; c++ {
+			if c+1 < n {
+				if err := b.AddStreet(id(r, c), id(r, c+1), spacing); err != nil {
+					tb.Fatal(err)
+				}
+			}
+			if r+1 < n {
+				if err := b.AddStreet(id(r, c), id(r+1, c), spacing); err != nil {
+					tb.Fatal(err)
+				}
+			}
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
+// mustShortestFrom returns the forward shortest-path tree from src.
+func mustShortestFrom(tb testing.TB, g *Graph, src NodeID) *Tree {
+	tb.Helper()
+	tr, err := g.ShortestFrom(src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr
+}
+
 // line builds a path graph 0-1-2-...-(n-1) with unit two-way streets.
 func line(t *testing.T, n int) *Graph {
 	t.Helper()

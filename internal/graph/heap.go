@@ -18,8 +18,8 @@ package graph
 // strictly smaller than the left, and moves it up only when it is strictly
 // smaller than the carried entry. A swap heap keeps the carried entry at
 // the hole's position at every level, so both heaps hold the same entry at
-// every slot after every operation. Dijkstra's parent pointers, A*'s paths
-// and the routes built from them therefore do not depend on which heap ran.
+// every slot after every operation. Dijkstra's parent pointers and the
+// routes built from them therefore do not depend on which heap ran.
 type distHeap struct {
 	items []heapEntry
 }

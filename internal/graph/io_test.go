@@ -29,10 +29,10 @@ func TestJSONRoundTrip(t *testing.T) {
 		}
 	}
 	// Distances must be identical.
-	a1, a2 := mustAllPairs(t, g), mustAllPairs(t, g2)
 	for u := 0; u < g.NumNodes(); u++ {
+		t1, t2 := mustShortestFrom(t, g, NodeID(u)), mustShortestFrom(t, g2, NodeID(u))
 		for v := 0; v < g.NumNodes(); v++ {
-			if math.Abs(a1.Dist(NodeID(u), NodeID(v))-a2.Dist(NodeID(u), NodeID(v))) > 1e-12 {
+			if math.Abs(t1.Dist(NodeID(v))-t2.Dist(NodeID(v))) > 1e-12 {
 				t.Fatalf("dist(%d,%d) differs after round trip", u, v)
 			}
 		}

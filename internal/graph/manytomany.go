@@ -78,8 +78,8 @@ type M2MGroup struct {
 	Sources []NodeID
 }
 
-// Rect is a dense (source x target) shortest-path distance rectangle, the
-// many-to-many analogue of AllPairs restricted to the query sets.
+// Rect is a dense (source x target) shortest-path distance rectangle: the
+// distance matrix restricted to the query sets.
 type Rect struct {
 	sources []NodeID
 	targets []NodeID

@@ -279,23 +279,6 @@ func TestManyToManyRectBudget(t *testing.T) {
 	}
 }
 
-// TestAllPairsBudget pins satellite behaviour: NewAllPairsBudget refuses a
-// matrix over budget with ErrAllPairsTooLarge, and the default budget
-// accepts city-scale graphs.
-func TestAllPairsBudget(t *testing.T) {
-	g := line(t, 10)
-	if _, err := NewAllPairsBudget(g, 10*10*8-1); !errors.Is(err, ErrAllPairsTooLarge) {
-		t.Fatal("undersized budget should be refused")
-	}
-	ap, err := NewAllPairsBudget(g, 10*10*8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ap.NumNodes() != 10 {
-		t.Fatalf("n = %d", ap.NumNodes())
-	}
-}
-
 // TestTreesDistOnly: DistOnly trees report identical distances, Invalid
 // parents, and an ErrDistOnly path error.
 func TestTreesDistOnly(t *testing.T) {

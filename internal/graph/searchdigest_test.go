@@ -12,13 +12,14 @@ import (
 	"roadside/internal/graph"
 )
 
-// frozenSearchDigest is the digest TestFrozenSearchDigest produces. It was
-// taken before the distance heap stored packed entries and sifted a hole,
-// so it pins the heap's pop sequence, ties included: every parent pointer
-// below follows from that sequence, and the Seattle fixtures' flows are
-// citygen routes built from ShortestPath, so a changed tie order would move
-// their paths and hence the many-to-many groups.
-const frozenSearchDigest = 0xcb67d9e7b3777703
+// frozenSearchDigest is the digest TestFrozenSearchDigest produces. It
+// pins the heap's pop sequence, ties included: every parent pointer below
+// follows from that sequence, and the Seattle fixtures' flows are citygen
+// routes built from ShortestPath, so a changed tie order would move their
+// paths and hence the many-to-many groups. It was re-taken, with only this
+// test changed, when A* paths left the hash, so it pins the searches of
+// the code that passed the previous constant.
+const frozenSearchDigest = 0x20d28dc4acec7611
 
 // searchFixture is one frozen city: its graph and its flows.
 type searchFixture struct {
@@ -101,18 +102,17 @@ func hashTree(h hash.Hash64, g *graph.Graph, tr *graph.Tree) {
 }
 
 // TestFrozenSearchDigest hashes, on each fixture, the distances and parent
-// pointers of ShortestFrom and ShortestTo from a few roots, the A* path
-// between those roots, the DistOnly Trees batch over the same roots and
-// the ManyToManyGrouped columns of the fixture's destination groups, both
-// batches at workers 1, 2 and 8, and compares the hash to
-// frozenSearchDigest.
+// pointers of ShortestFrom and ShortestTo from a few roots, the DistOnly
+// Trees batch over the same roots and the ManyToManyGrouped columns of the
+// fixture's destination groups, both batches at workers 1, 2 and 8, and
+// compares the hash to frozenSearchDigest.
 func TestFrozenSearchDigest(t *testing.T) {
 	h := fnv.New64a()
 	for _, fx := range searchFixtures(t) {
 		n := fx.g.NumNodes()
 		roots := []graph.NodeID{0, graph.NodeID(n / 3), graph.NodeID(2 * n / 3), fx.flows[0].Dest}
 		var reqs []graph.TreeReq
-		for i, r := range roots {
+		for _, r := range roots {
 			from, err := fx.g.ShortestFrom(r)
 			if err != nil {
 				t.Fatal(err)
@@ -123,15 +123,6 @@ func TestFrozenSearchDigest(t *testing.T) {
 			}
 			hashTree(h, fx.g, from)
 			hashTree(h, fx.g, to)
-			dst := roots[(i+1)%len(roots)]
-			path, d, err := fx.g.AStar(r, dst, nil)
-			if err != nil {
-				t.Fatalf("%s: A* %d→%d: %v", fx.name, r, dst, err)
-			}
-			hashUint64(h, math.Float64bits(d))
-			for _, v := range path {
-				hashUint64(h, uint64(uint32(v)))
-			}
 			reqs = append(reqs,
 				graph.TreeReq{Root: r, DistOnly: true},
 				graph.TreeReq{Root: r, Reverse: true, DistOnly: true})

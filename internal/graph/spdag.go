@@ -5,6 +5,12 @@ import (
 	"math"
 )
 
+// distEpsilon is the tolerance used when comparing sums of shortest-path
+// distances (the tight-edge and on-some-shortest-path tests below). Road
+// lengths are O(1e5) feet, so 1e-6 relative error is far below any street
+// length.
+const distEpsilon = 1e-6
+
 // SPDAG is the shortest-path DAG from a single source: the subgraph of
 // edges (u,v) with dist(u) + w(u,v) == dist(v). Every source-to-node path
 // in the DAG is a shortest path in the original graph. It supports counting

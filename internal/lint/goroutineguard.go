@@ -20,7 +20,7 @@ func init() {
 // function's body (goroutine bodies included — the wait protocol spans
 // both sides). This is a structural check, not a proof of correctness,
 // but it catches the classic fire-and-forget leak in parallel kernels
-// like the all-pairs Dijkstra fan-out.
+// like the Dijkstra tree fan-out.
 func runGoroutineGuard(p *Pass) {
 	for _, fi := range p.Inspector.Funcs() {
 		// Function literals are inspected through their enclosing

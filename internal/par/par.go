@@ -1,7 +1,7 @@
 // Package par provides the bounded worker pool underlying every parallel
-// kernel in the repository: the all-pairs Dijkstra fan-out, the placement
-// engine's preprocessing, the greedy candidate scans, and the experiment
-// trial fan-out.
+// kernel in the repository: the Dijkstra tree and many-to-many fan-outs,
+// the placement engine's preprocessing, the greedy candidate scans, and
+// the experiment trial fan-out.
 //
 // The pool enforces the repo's determinism contract by construction: work
 // items are identified by a dense index and workers write results only to

@@ -214,18 +214,3 @@ func contactNodes(g *graph.Graph, path []graph.NodeID, rapPos geo.Point, radius 
 	}
 	return nodes
 }
-
-// Compare runs the simulation and reports the relative error between the
-// simulated mean and the analytical expectation under the same contact
-// model. With zero radio range the expectation equals Evaluate(placement).
-func Compare(e *core.Engine, placement []graph.NodeID, cfg Config) (*Result, float64, error) {
-	res, err := Run(e, placement, cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	//lint:ignore floatcmp division guard needs exact zero; any nonzero expectation is valid
-	if res.Expected == 0 {
-		return res, 0, nil
-	}
-	return res, math.Abs(res.MeanCustomers-res.Expected) / res.Expected, nil
-}

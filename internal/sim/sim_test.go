@@ -187,19 +187,21 @@ func TestPoissonVolumes(t *testing.T) {
 	}
 }
 
+// TestCompare compares the simulated mean with the analytical expectation
+// under the same contact model: within 5% over 2000 days, and exactly zero
+// for an empty placement.
 func TestCompare(t *testing.T) {
 	e := fig4Engine(t, utility.Linear{D: 6})
-	res, relErr, err := Compare(e, []graph.NodeID{1, 3}, Config{Days: 2000, Seed: 3})
+	res, err := Run(e, []graph.NodeID{1, 3}, Config{Days: 2000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if relErr > 0.05 {
+	if relErr := math.Abs(res.MeanCustomers-res.Expected) / res.Expected; relErr > 0.05 {
 		t.Errorf("relative error %v > 5%% (mean %v vs expected %v)",
 			relErr, res.MeanCustomers, res.Expected)
 	}
-	// Empty placement: expectation 0, relative error reported as 0.
-	_, relErr, err = Compare(e, nil, Config{Days: 5, Seed: 3})
-	if err != nil || relErr != 0 {
-		t.Errorf("empty placement: %v, %v", relErr, err)
+	res, err = Run(e, nil, Config{Days: 5, Seed: 3})
+	if err != nil || res.Expected != 0 || res.MeanCustomers != 0 {
+		t.Errorf("empty placement: %+v, %v", res, err)
 	}
 }

@@ -11,22 +11,20 @@ import (
 // The resistance model values a candidate intersection by its random-walk
 // accessibility to the shop, which reduces to the diagonal of the inverse
 // of a grounded graph Laplacian — a symmetric positive-definite system.
-// Three solvers cover the size spectrum: a dense Cholesky factorization
-// for the instances the figure runners use (factored inside the matrix's
+// Two solvers cover the size spectrum: a dense Cholesky factorization for
+// the instances the figure runners use (factored inside the matrix's
 // envelope, with the inverse diagonal read off by one-sided unit solves
-// that are bitwise the full substitutions), a conjugate-gradient iteration
-// for larger graphs (matrix-free over a CSR operator, deterministic
-// iteration order so engine construction keeps the bit-identity contract),
-// and a Gauss-Jordan dense inverse that shares no code with Cholesky and
-// serves as the differential-test oracle on small systems.
+// that are bitwise the full substitutions) and a conjugate-gradient
+// iteration for larger graphs (matrix-free over a CSR operator,
+// deterministic iteration order so engine construction keeps the
+// bit-identity contract). Both are checked against a Gauss-Jordan dense
+// inverse that shares no code with them; it lives in the tests.
 
 // Errors reported by the SPD solvers.
 var (
 	// ErrNotSPD reports a matrix whose Cholesky factorization hit a
 	// non-positive pivot: the input is not symmetric positive definite.
 	ErrNotSPD = errors.New("stats: matrix is not positive definite")
-	// ErrSingular reports a Gauss-Jordan pivot too small to invert through.
-	ErrSingular = errors.New("stats: matrix is numerically singular")
 	// ErrNoConverge reports a conjugate-gradient run that exhausted its
 	// iteration budget before reaching the requested tolerance.
 	ErrNoConverge = errors.New("stats: conjugate gradient did not converge")
@@ -196,58 +194,6 @@ func envelope(a [][]float64) []int {
 		}
 	}
 	return lo
-}
-
-// SPDInverse inverts the matrix a by Gauss-Jordan elimination with partial
-// pivoting. It deliberately shares no code with Cholesky: the Laplacian
-// differential tests use it as the independent oracle the factorization
-// and CG paths are compared against. a is not modified.
-func SPDInverse(a [][]float64) ([][]float64, error) {
-	n := len(a)
-	// Augmented work matrix [A | I].
-	w := make([][]float64, n)
-	for i := range w {
-		w[i] = make([]float64, 2*n)
-		copy(w[i], a[i])
-		w[i][n+i] = 1
-	}
-	for col := 0; col < n; col++ {
-		// Partial pivot: largest magnitude in the column at or below the
-		// diagonal; first occurrence wins so the elimination is
-		// deterministic.
-		pivot := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(w[r][col]) > math.Abs(w[pivot][col]) {
-				pivot = r
-			}
-		}
-		if math.Abs(w[pivot][col]) < 1e-300 {
-			return nil, fmt.Errorf("%w: pivot column %d", ErrSingular, col)
-		}
-		w[col], w[pivot] = w[pivot], w[col]
-		inv := 1 / w[col][col]
-		for c := 0; c < 2*n; c++ {
-			w[col][c] *= inv
-		}
-		for r := 0; r < n; r++ {
-			if r == col {
-				continue
-			}
-			f := w[r][col]
-			//lint:ignore floatcmp exact-zero rows need no elimination; this is a skip, not a tolerance
-			if f == 0 {
-				continue
-			}
-			for c := 0; c < 2*n; c++ {
-				w[r][c] -= f * w[col][c]
-			}
-		}
-	}
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = w[i][n:]
-	}
-	return out, nil
 }
 
 // CG solves m*x = b by conjugate gradients from a zero initial guess,

@@ -8,6 +8,61 @@ import (
 	"testing"
 )
 
+// errSingular reports a Gauss-Jordan pivot too small to invert through.
+var errSingular = errors.New("stats: matrix is numerically singular")
+
+// spdInverse inverts the matrix a by Gauss-Jordan elimination with partial
+// pivoting. It deliberately shares no code with Cholesky: the differential
+// tests use it as the independent oracle the factorization and CG paths
+// are compared against. a is not modified.
+func spdInverse(a [][]float64) ([][]float64, error) {
+	n := len(a)
+	// Augmented work matrix [A | I].
+	w := make([][]float64, n)
+	for i := range w {
+		w[i] = make([]float64, 2*n)
+		copy(w[i], a[i])
+		w[i][n+i] = 1
+	}
+	for col := 0; col < n; col++ {
+		// Partial pivot: largest magnitude in the column at or below the
+		// diagonal; first occurrence wins so the elimination is
+		// deterministic.
+		pivot := col
+		for r := col + 1; r < n; r++ {
+			if math.Abs(w[r][col]) > math.Abs(w[pivot][col]) {
+				pivot = r
+			}
+		}
+		if math.Abs(w[pivot][col]) < 1e-300 {
+			return nil, fmt.Errorf("%w: pivot column %d", errSingular, col)
+		}
+		w[col], w[pivot] = w[pivot], w[col]
+		inv := 1 / w[col][col]
+		for c := 0; c < 2*n; c++ {
+			w[col][c] *= inv
+		}
+		for r := 0; r < n; r++ {
+			if r == col {
+				continue
+			}
+			f := w[r][col]
+			// Exact-zero rows need no elimination: a skip, not a tolerance.
+			if f == 0 {
+				continue
+			}
+			for c := 0; c < 2*n; c++ {
+				w[r][c] -= f * w[col][c]
+			}
+		}
+	}
+	out := make([][]float64, n)
+	for i := range out {
+		out[i] = w[i][n:]
+	}
+	return out, nil
+}
+
 // spdTol is the agreement tolerance of the SPD differential tests,
 // expressed as a relative error. Grounded Laplacians of random graphs with
 // conductances in [0.1, 10] have condition numbers well under 1e6, so
@@ -291,9 +346,9 @@ func TestCholeskyMatchesSPDInverse(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 8, 17, 33, 64} {
 		sp := randomGroundedLaplacian(rng, n)
 		dense := sp.Dense()
-		inv, err := SPDInverse(dense)
+		inv, err := spdInverse(dense)
 		if err != nil {
-			t.Fatalf("n=%d: SPDInverse: %v", n, err)
+			t.Fatalf("n=%d: spdInverse: %v", n, err)
 		}
 		l, err := Cholesky(dense)
 		if err != nil {
@@ -321,9 +376,9 @@ func TestCGMatchesSPDInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	for _, n := range []int{1, 2, 5, 16, 40, 64} {
 		sp := randomGroundedLaplacian(rng, n)
-		inv, err := SPDInverse(sp.Dense())
+		inv, err := spdInverse(sp.Dense())
 		if err != nil {
-			t.Fatalf("n=%d: SPDInverse: %v", n, err)
+			t.Fatalf("n=%d: spdInverse: %v", n, err)
 		}
 		e := make([]float64, n)
 		for col := 0; col < n; col++ {
@@ -355,7 +410,7 @@ func TestCGMatchesSPDInverse(t *testing.T) {
 func TestSolversExactSystem(t *testing.T) {
 	a := [][]float64{{2, -1}, {-1, 2}}
 	want := [][]float64{{2.0 / 3, 1.0 / 3}, {1.0 / 3, 2.0 / 3}}
-	inv, err := SPDInverse(a)
+	inv, err := spdInverse(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +430,7 @@ func TestSolversExactSystem(t *testing.T) {
 		e[col] = 0
 		for row := 0; row < 2; row++ {
 			if d := ulps(inv[row][col], want[row][col]); d > 4 {
-				t.Errorf("SPDInverse[%d][%d] off by %d ulps", row, col, d)
+				t.Errorf("spdInverse[%d][%d] off by %d ulps", row, col, d)
 			}
 			if d := ulps(chol[row], want[row][col]); d > 4 {
 				t.Errorf("CholeskySolve[%d][%d] off by %d ulps", row, col, d)
@@ -437,8 +492,8 @@ func TestCholeskyRejectsNonSPD(t *testing.T) {
 func TestSPDInverseSingular(t *testing.T) {
 	// An ungrounded Laplacian: rows sum to zero, rank n-1.
 	sing := [][]float64{{1, -1}, {-1, 1}}
-	if _, err := SPDInverse(sing); !errors.Is(err, ErrSingular) {
-		t.Errorf("singular matrix: err = %v, want ErrSingular", err)
+	if _, err := spdInverse(sing); !errors.Is(err, errSingular) {
+		t.Errorf("singular matrix: err = %v, want errSingular", err)
 	}
 }
 

@@ -142,12 +142,6 @@ func Poisson(rng *rand.Rand, mean float64) int {
 	}
 }
 
-// LogNormal samples a log-normal variate parameterized by the mean and
-// sigma of the underlying normal.
-func LogNormal(rng *rand.Rand, mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*rng.NormFloat64())
-}
-
 // WeightedChoice returns an index in [0, len(weights)) drawn proportionally
 // to the weights, or -1 when all weights are non-positive.
 func WeightedChoice(rng *rand.Rand, weights []float64) int {

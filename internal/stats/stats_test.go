@@ -97,23 +97,6 @@ func TestPoissonMoments(t *testing.T) {
 	}
 }
 
-func TestLogNormal(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const n = 20000
-	var sum float64
-	for i := 0; i < n; i++ {
-		v := LogNormal(rng, 0, 0.5)
-		if v <= 0 {
-			t.Fatal("log-normal must be positive")
-		}
-		sum += v
-	}
-	want := math.Exp(0.125) // e^(mu + sigma^2/2)
-	if got := sum / n; math.Abs(got-want) > 0.05 {
-		t.Errorf("mean = %v, want ~%v", got, want)
-	}
-}
-
 func TestWeightedChoice(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	weights := []float64{1, 0, 3}

@@ -95,52 +95,69 @@ func WriteCSV(w io.Writer, recs []Record, format Format, proj *geo.Projection) e
 	return nil
 }
 
-// ReadCSV parses records written by WriteCSV. For FormatLonLat a projection
-// is required to convert geographic coordinates to the planar frame.
+// ReadCSV parses records written by WriteCSV, one row at a time. The
+// header must name the format's columns, so a file written in the other
+// format is refused with ErrBadFormat rather than having its coordinates
+// read in the wrong frame. For FormatLonLat a projection is required to
+// convert geographic coordinates to the planar frame.
 func ReadCSV(r io.Reader, format Format, proj *geo.Projection) ([]Record, error) {
 	if format == FormatLonLat && proj == nil {
 		return nil, ErrNilProj
 	}
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 5
-	rows, err := cr.ReadAll()
+	cr.ReuseRecord = true
+	header, err := cr.Read()
 	if err != nil {
-		return nil, fmt.Errorf("trace: read: %w", err)
+		return nil, fmt.Errorf("%w: header: %v", ErrBadFormat, err)
 	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("%w: empty file", ErrBadFormat)
+	for i, want := range format.header() {
+		if header[i] != want {
+			return nil, fmt.Errorf("%w: header column %d is %q, want %q",
+				ErrBadFormat, i, header[i], want)
+		}
 	}
-	recs := make([]Record, 0, len(rows)-1)
-	for i, row := range rows[1:] {
-		at, err := time.Parse(time.RFC3339, row[0])
+	var recs []Record
+	for line := 1; ; line++ {
+		row, err := cr.Read()
+		if err == io.EOF {
+			return recs, nil
+		}
 		if err != nil {
-			return nil, fmt.Errorf("%w: row %d timestamp: %v", ErrBadFormat, i+1, err)
+			return nil, fmt.Errorf("%w: row %d: %v", ErrBadFormat, line, err)
 		}
-		a, err := strconv.ParseFloat(row[3], 64)
+		rec, err := parseRow(row, format, proj, line)
 		if err != nil {
-			return nil, fmt.Errorf("%w: row %d coordinate: %v", ErrBadFormat, i+1, err)
+			return nil, err
 		}
-		b, err := strconv.ParseFloat(row[4], 64)
-		if err != nil {
-			return nil, fmt.Errorf("%w: row %d coordinate: %v", ErrBadFormat, i+1, err)
-		}
-		var pos geo.Point
-		if format == FormatLonLat {
-			pos, err = proj.Forward(geo.LonLat{Lon: a, Lat: b})
-			if err != nil {
-				return nil, fmt.Errorf("%w: row %d: %v", ErrBadFormat, i+1, err)
-			}
-		} else {
-			pos = geo.Pt(a, b)
-		}
-		recs = append(recs, Record{
-			At:        at,
-			BusID:     row[1],
-			JourneyID: row[2],
-			Pos:       pos,
-		})
+		recs = append(recs, rec)
 	}
-	return recs, nil
+}
+
+// parseRow converts one CSV row into a Record.
+func parseRow(row []string, format Format, proj *geo.Projection, line int) (Record, error) {
+	at, err := time.Parse(time.RFC3339, row[0])
+	if err != nil {
+		return Record{}, fmt.Errorf("%w: row %d timestamp: %v", ErrBadFormat, line, err)
+	}
+	a, err := strconv.ParseFloat(row[3], 64)
+	if err != nil {
+		return Record{}, fmt.Errorf("%w: row %d coordinate: %v", ErrBadFormat, line, err)
+	}
+	b, err := strconv.ParseFloat(row[4], 64)
+	if err != nil {
+		return Record{}, fmt.Errorf("%w: row %d coordinate: %v", ErrBadFormat, line, err)
+	}
+	var pos geo.Point
+	if format == FormatLonLat {
+		pos, err = proj.Forward(geo.LonLat{Lon: a, Lat: b})
+		if err != nil {
+			return Record{}, fmt.Errorf("%w: row %d: %v", ErrBadFormat, line, err)
+		}
+	} else {
+		pos = geo.Pt(a, b)
+	}
+	return Record{At: at, BusID: row[1], JourneyID: row[2], Pos: pos}, nil
 }
 
 // SortByTime orders records chronologically (stable), the order the

@@ -78,15 +78,40 @@ func TestCSVErrors(t *testing.T) {
 	}
 	cases := []string{
 		"",
+		"wrong,header,entirely,x,y\n",
 		"timestamp,bus_id,route_id,x,y\nnot-a-time,b,r,1,2\n",
 		"timestamp,bus_id,route_id,x,y\n2015-03-02T08:00:00Z,b,r,zap,2\n",
 		"timestamp,bus_id,route_id,x,y\n2015-03-02T08:00:00Z,b,r,1,zap\n",
+		"timestamp,bus_id,route_id,x,y\n2015-03-02T08:00:00Z,b,r,1\n",
 		"timestamp,bus_id,route_id,x\n",
 	}
 	for i, in := range cases {
-		if _, err := ReadCSV(strings.NewReader(in), FormatXY, nil); err == nil {
-			t.Errorf("case %d: bad CSV accepted", i)
+		if _, err := ReadCSV(strings.NewReader(in), FormatXY, nil); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("case %d: err = %v, want ErrBadFormat", i, err)
 		}
+	}
+}
+
+// TestReadCSVRejectsOtherFormat: a file's header decides its frame, so a
+// Dublin lon/lat trace read as Seattle x/y (or the reverse) is refused
+// instead of having degrees taken for feet.
+func TestReadCSVRejectsOtherFormat(t *testing.T) {
+	proj, err := geo.NewProjection(geo.LonLat{Lon: -6.26, Lat: 53.35})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lonlat, xy bytes.Buffer
+	if err := WriteCSV(&lonlat, sampleRecords(), FormatLonLat, proj); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteCSV(&xy, sampleRecords(), FormatXY, nil); err != nil {
+		t.Fatal(err)
+	}
+	if recs, err := ReadCSV(&lonlat, FormatXY, nil); !errors.Is(err, ErrBadFormat) {
+		t.Errorf("lon/lat file read as x/y: %d records, err = %v, want ErrBadFormat", len(recs), err)
+	}
+	if recs, err := ReadCSV(&xy, FormatLonLat, proj); !errors.Is(err, ErrBadFormat) {
+		t.Errorf("x/y file read as lon/lat: %d records, err = %v, want ErrBadFormat", len(recs), err)
 	}
 }
 

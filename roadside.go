@@ -80,16 +80,8 @@ type Graph = graph.Graph
 // GraphBuilder accumulates nodes and streets.
 type GraphBuilder = graph.Builder
 
-// AllPairs is a full shortest-path distance matrix.
-type AllPairs = graph.AllPairs
-
 // NewGraphBuilder returns a builder with capacity hints.
 func NewGraphBuilder(nodes, edges int) *GraphBuilder { return graph.NewBuilder(nodes, edges) }
-
-// NewAllPairs computes all-pairs shortest distances in parallel. It returns
-// a descriptive error when the dense n x n matrix would exceed the byte
-// budget; million-node graphs should use ManyToMany instead.
-func NewAllPairs(g *Graph) (*AllPairs, error) { return graph.NewAllPairs(g) }
 
 // ManyToManyDistances computes the dense (sources x targets) shortest-path
 // rectangle without materializing full trees, bit-identical to running one

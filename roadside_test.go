@@ -133,13 +133,6 @@ func TestPublicAPISubstrates(t *testing.T) {
 	if city.Graph.NumNodes() == 0 {
 		t.Fatal("empty city")
 	}
-	ap, err := NewAllPairs(city.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ap.NumNodes() != city.Graph.NumNodes() {
-		t.Error("AllPairs dimension mismatch")
-	}
 	if _, err := UtilityByName("linear", 1000); err != nil {
 		t.Error(err)
 	}

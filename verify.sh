@@ -10,6 +10,11 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
+# perfbench is a nested module, so the root ./... above skips it; vet
+# type-checks it, so a change that breaks the benchmark's build fails here.
+echo "==> go -C perfbench vet ./..."
+go -C perfbench vet ./...
+
 echo "==> go test -race ./..."
 go test -race ./...
 
