@@ -36,6 +36,32 @@ import (
 // exist and the run fails.
 const deltaSpeedupGate = 10.0
 
+// deltaRounds is how many alternating rebuild/delta rounds a drift pair
+// is timed over. A single short window on a shared machine can lose a
+// scheduler slice to another process and halve the measured ratio; the
+// fastest of a few interleaved windows is the least-disturbed estimate of
+// each side's cost.
+const deltaRounds = 5
+
+// fastest keeps the lowest-ns/op result of repeated benchmark runs.
+type fastest struct {
+	res testing.BenchmarkResult
+	ns  float64
+}
+
+// time runs fn once and keeps the result if it beats the best so far.
+func (f *fastest) time(name string, fn func(*testing.B)) error {
+	res := testing.Benchmark(fn)
+	if res.N == 0 {
+		return fmt.Errorf("%s: benchmarks failed to run", name)
+	}
+	ns := float64(res.T.Nanoseconds()) / float64(res.N)
+	if f.res.N == 0 || ns < f.ns {
+		f.res, f.ns = res, ns
+	}
+	return nil
+}
+
 // driftVolumeOps rescales every third flow's volume deterministically —
 // a morning-peak style drift where a subset of routes changes load.
 func driftVolumeOps(p *roadside.Problem) []roadside.FlowUpdate {
@@ -101,7 +127,7 @@ func measureDrift(w io.Writer, report *benchio.Report, name string,
 		return 0, fmt.Errorf("%s: warm/cold placements diverge: %w", name, err)
 	}
 
-	rebuildRes := testing.Benchmark(func(b *testing.B) {
+	rebuild := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			e, err := roadside.NewEngine(drifted)
 			if err != nil {
@@ -111,8 +137,8 @@ func measureDrift(w io.Writer, report *benchio.Report, name string,
 				b.Fatal(err)
 			}
 		}
-	})
-	deltaRes := testing.Benchmark(func(b *testing.B) {
+	}
+	delta := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			e, touched, err := base.ApplyCopy(ops)
 			if err != nil {
@@ -124,12 +150,18 @@ func measureDrift(w io.Writer, report *benchio.Report, name string,
 				b.Fatal(err)
 			}
 		}
-	})
-	if rebuildRes.N == 0 || deltaRes.N == 0 {
-		return 0, fmt.Errorf("%s: benchmarks failed to run", name)
 	}
-	rebuildNs := float64(rebuildRes.T.Nanoseconds()) / float64(rebuildRes.N)
-	deltaNs := float64(deltaRes.T.Nanoseconds()) / float64(deltaRes.N)
+	var rb, dl fastest
+	for r := 0; r < deltaRounds; r++ {
+		if err := rb.time(name, rebuild); err != nil {
+			return 0, err
+		}
+		if err := dl.time(name, delta); err != nil {
+			return 0, err
+		}
+	}
+	rebuildRes, rebuildNs := rb.res, rb.ns
+	deltaRes, deltaNs := dl.res, dl.ns
 	speedup := rebuildNs / deltaNs
 
 	report.Add(benchio.Entry{

@@ -78,16 +78,35 @@ func TestCSVErrors(t *testing.T) {
 	}
 	cases := []string{
 		"",
-		"wrong,header,entirely,x,y\n",
 		"timestamp,bus_id,route_id,x,y\nnot-a-time,b,r,1,2\n",
 		"timestamp,bus_id,route_id,x,y\n2015-03-02T08:00:00Z,b,r,zap,2\n",
 		"timestamp,bus_id,route_id,x,y\n2015-03-02T08:00:00Z,b,r,1,zap\n",
-		"timestamp,bus_id,route_id,x,y\n2015-03-02T08:00:00Z,b,r,1\n",
 		"timestamp,bus_id,route_id,x\n",
 	}
 	for i, in := range cases {
 		if _, err := ReadCSV(strings.NewReader(in), FormatXY, nil); !errors.Is(err, ErrBadFormat) {
 			t.Errorf("case %d: err = %v, want ErrBadFormat", i, err)
+		}
+	}
+}
+
+// TestStreamCSVErrors: ReadCSV reads one row at a time, so a wrong header
+// is refused before any row is read, and a bad row after good ones fails
+// the whole read rather than returning the rows before it.
+func TestStreamCSVErrors(t *testing.T) {
+	const good = "2015-03-02T08:00:00Z,b,r,1,2\n"
+	cases := []string{
+		"wrong,header,entirely,x,y\n" + good,
+		"timestamp,bus_id,route_id,x,y\n" + good + "2015-03-02T08:01:00Z,b,r,1\n",
+		"timestamp,bus_id,route_id,x,y\n" + good + good + "bad-time,b,r,1,2\n",
+	}
+	for i, in := range cases {
+		recs, err := ReadCSV(strings.NewReader(in), FormatXY, nil)
+		if !errors.Is(err, ErrBadFormat) {
+			t.Errorf("case %d: err = %v, want ErrBadFormat", i, err)
+		}
+		if recs != nil {
+			t.Errorf("case %d: %d records returned with the error", i, len(recs))
 		}
 	}
 }
