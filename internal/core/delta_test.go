@@ -346,21 +346,25 @@ func TestWarmMismatch(t *testing.T) {
 
 // TestSplitDigest pins the lineage reference syntax.
 func TestSplitDigest(t *testing.T) {
-	if d := DeriveDigest("rapd1-ab", 0); d != "rapd1-ab" {
+	if d := DeriveDigest("rapd2-ab", 0); d != "rapd2-ab" {
 		t.Fatalf("seq 0 derived %q", d)
 	}
-	if d := DeriveDigest("rapd1-ab", 3); d != "rapd1-ab@3" {
+	if d := DeriveDigest("rapd2-ab", 3); d != "rapd2-ab@3" {
 		t.Fatalf("seq 3 derived %q", d)
 	}
-	base, seq, err := SplitDigest("rapd1-ab@3")
-	if err != nil || base != "rapd1-ab" || seq != 3 {
+	base, seq, err := SplitDigest("rapd2-ab@3")
+	if err != nil || base != "rapd2-ab" || seq != 3 {
 		t.Fatalf("SplitDigest = %q, %d, %v", base, seq, err)
 	}
-	base, seq, err = SplitDigest("rapd1-ab")
-	if err != nil || base != "rapd1-ab" || seq != 0 {
+	base, seq, err = SplitDigest("rapd2-ab")
+	if err != nil || base != "rapd2-ab" || seq != 0 {
 		t.Fatalf("plain SplitDigest = %q, %d, %v", base, seq, err)
 	}
-	for _, bad := range []string{"rapd1-ab@", "rapd1-ab@x", "rapd1-ab@-1"} {
+	for _, bad := range []string{
+		"rapd2-ab@", "rapd2-ab@x", "rapd2-ab@-1",
+		// Non-canonical spellings of a valid sequence must not alias it.
+		"rapd2-ab@+3", "rapd2-ab@03", "rapd2-ab@00", "rapd2-ab@-0",
+	} {
 		if _, _, err := SplitDigest(bad); err == nil {
 			t.Fatalf("SplitDigest(%q) accepted", bad)
 		}

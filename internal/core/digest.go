@@ -5,15 +5,19 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
+
+	"roadside/internal/graph"
 )
 
 // DigestVersion prefixes every problem digest. Bump it on any change to
 // the digest's input encoding so cached engines keyed by an old digest can
 // never be served for a problem hashed under a new one.
-const DigestVersion = "rapd1"
+const DigestVersion = "rapd2"
 
 // ProblemDigest computes a stable content digest of everything the
 // placement engine's preprocessed arenas depend on: the graph, the flows,
@@ -23,69 +27,145 @@ const DigestVersion = "rapd1"
 // so one cached engine can answer placement queries at every budget (see
 // Engine.WithBudget).
 //
-// The graph and flows are hashed through their canonical JSON interchange
-// encodings (the same codecs the repro artifacts and the query server's
-// wire format embed), each section framed by a tag and a length so
-// adjacent sections can never alias. The digest is a SHA-256, so distinct
-// problems colliding is not a practical concern; two problems with equal
-// digests may be treated as the same engine-construction input.
+// The input is a binary canonical form streamed into the hash through one
+// fixed-size buffer, so digest memory does not grow with the problem.
+// Each section starts with a tag byte; counts are little-endian uint64,
+// node IDs on edges and paths uint32, every float its IEEE-754 bits, and
+// every string and list is length-framed, so adjacent fields can never
+// alias. A problem with a NaN or infinite node coordinate has no digest
+// (it has no interchange encoding either). The digest is a SHA-256, so
+// distinct problems colliding is not a practical concern; two problems
+// with equal digests may be treated as the same engine-construction input.
 func ProblemDigest(p *Problem) (string, error) {
 	if p == nil || p.Graph == nil || p.Flows == nil || p.Utility == nil {
 		return "", ErrNilField
 	}
-	h := sha256.New()
-	var buf [8]byte
-	w64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		//lint:ignore errdrop hash.Hash.Write is documented to never return an error
-		_, _ = h.Write(buf[:])
+	w := digestWriter{h: sha256.New()}
+
+	g := p.Graph
+	w.tag('g')
+	w.u64(uint64(g.NumNodes()))
+	for i := 0; i < g.NumNodes(); i++ {
+		pt := g.Point(graph.NodeID(i))
+		if !finite(pt.X) || !finite(pt.Y) {
+			return "", fmt.Errorf("core: digest graph: node %d: non-finite coordinate (%g, %g)", i, pt.X, pt.Y)
+		}
+		w.u64(math.Float64bits(pt.X))
+		w.u64(math.Float64bits(pt.Y))
 	}
-	section := func(tag byte) {
-		//lint:ignore errdrop hash.Hash.Write is documented to never return an error
-		_, _ = h.Write([]byte{tag})
+	w.u64(uint64(g.NumEdges()))
+	for u := 0; u < g.NumNodes(); u++ {
+		g.ForEachOut(graph.NodeID(u), func(v graph.NodeID, wt float64) bool {
+			w.u32(uint32(u))
+			w.u32(uint32(v))
+			w.u64(math.Float64bits(wt))
+			return true
+		})
 	}
 
-	section('g')
-	if err := p.Graph.WriteJSON(h); err != nil {
-		return "", fmt.Errorf("core: digest graph: %w", err)
+	w.tag('f')
+	w.u64(uint64(p.Flows.Len()))
+	for i := 0; i < p.Flows.Len(); i++ {
+		f := p.Flows.At(i)
+		// The wire, like encoding/json, carries each invalid UTF-8 byte
+		// of an ID as U+FFFD, and so does string([]rune(id)); hashing
+		// that form keeps a problem's digest equal to its wire copy's.
+		id := f.ID
+		if !utf8.ValidString(id) {
+			id = string([]rune(id))
+		}
+		w.str(id)
+		w.u64(uint64(len(f.Path)))
+		for _, v := range f.Path {
+			w.u32(uint32(v))
+		}
+		w.u64(math.Float64bits(f.Volume))
+		w.u64(math.Float64bits(f.Alpha))
 	}
-	section('f')
-	if err := p.Flows.WriteJSON(h); err != nil {
-		return "", fmt.Errorf("core: digest flows: %w", err)
-	}
-	section('u')
-	name := p.Utility.Name()
-	w64(uint64(len(name)))
-	//lint:ignore errdrop hash.Hash.Write is documented to never return an error
-	_, _ = h.Write([]byte(name))
-	w64(math.Float64bits(p.Utility.Threshold()))
-	section('s')
-	w64(uint64(p.Shop))
-	w64(uint64(len(p.ExtraShops)))
-	for _, s := range p.ExtraShops {
-		w64(uint64(s))
-	}
-	section('c')
-	w64(uint64(len(p.Candidates)))
-	for _, c := range p.Candidates {
-		w64(uint64(c))
-	}
-	// The model section is written only when a model is set, so every
-	// pre-model digest is unchanged. A model engine's arenas depend on the
-	// model's name and parameters (they reweight the precomputed gains),
-	// so both are folded in, length-framed like the utility name.
+
+	w.tag('u')
+	w.str(p.Utility.Name())
+	w.u64(math.Float64bits(p.Utility.Threshold()))
+	w.tag('s')
+	w.u64(uint64(p.Shop))
+	w.ids(p.ExtraShops)
+	w.tag('c')
+	w.ids(p.Candidates)
+	// The model section is written only when a model is set. A model
+	// engine's arenas depend on the model's name and parameters (they
+	// reweight the precomputed gains), so both are folded in.
 	if p.Model != nil {
-		section('m')
-		mname := p.Model.Name()
-		w64(uint64(len(mname)))
-		//lint:ignore errdrop hash.Hash.Write is documented to never return an error
-		_, _ = h.Write([]byte(mname))
-		params := p.Model.Params()
-		w64(uint64(len(params)))
-		//lint:ignore errdrop hash.Hash.Write is documented to never return an error
-		_, _ = h.Write([]byte(params))
+		w.tag('m')
+		w.str(p.Model.Name())
+		w.str(p.Model.Params())
 	}
-	return DigestVersion + "-" + hex.EncodeToString(h.Sum(nil)), nil
+	return DigestVersion + "-" + hex.EncodeToString(w.sum()), nil
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// digestWriter buffers ProblemDigest's canonical form in front of the
+// hash, so each value costs a store rather than a hash.Write call.
+type digestWriter struct {
+	h   hash.Hash
+	n   int
+	buf [4096]byte
+}
+
+func (w *digestWriter) flush() {
+	//lint:ignore errdrop hash.Hash.Write is documented to never return an error
+	_, _ = w.h.Write(w.buf[:w.n])
+	w.n = 0
+}
+
+func (w *digestWriter) tag(b byte) {
+	if w.n == len(w.buf) {
+		w.flush()
+	}
+	w.buf[w.n] = b
+	w.n++
+}
+
+func (w *digestWriter) u32(v uint32) {
+	if w.n+4 > len(w.buf) {
+		w.flush()
+	}
+	binary.LittleEndian.PutUint32(w.buf[w.n:], v)
+	w.n += 4
+}
+
+func (w *digestWriter) u64(v uint64) {
+	if w.n+8 > len(w.buf) {
+		w.flush()
+	}
+	binary.LittleEndian.PutUint64(w.buf[w.n:], v)
+	w.n += 8
+}
+
+// str writes s framed by its length.
+func (w *digestWriter) str(s string) {
+	w.u64(uint64(len(s)))
+	for len(s) > 0 {
+		if w.n == len(w.buf) {
+			w.flush()
+		}
+		c := copy(w.buf[w.n:], s)
+		w.n += c
+		s = s[c:]
+	}
+}
+
+// ids writes a node list framed by its length.
+func (w *digestWriter) ids(vs []graph.NodeID) {
+	w.u64(uint64(len(vs)))
+	for _, v := range vs {
+		w.u64(uint64(v))
+	}
+}
+
+func (w *digestWriter) sum() []byte {
+	w.flush()
+	return w.h.Sum(nil)
 }
 
 // DeriveDigest returns the lineage digest identifying the seq-th update
@@ -102,14 +182,16 @@ func DeriveDigest(base string, seq int) string {
 
 // SplitDigest splits a possibly-derived digest reference into its base
 // digest and update sequence number. References without an "@seq" suffix
-// report sequence 0.
+// report sequence 0. The sequence must be in the canonical decimal form
+// DeriveDigest writes, so "base@+3" and "base@03" are errors rather than
+// aliases of "base@3".
 func SplitDigest(ref string) (base string, seq int, err error) {
 	at := strings.IndexByte(ref, '@')
 	if at < 0 {
 		return ref, 0, nil
 	}
 	seq, err = strconv.Atoi(ref[at+1:])
-	if err != nil || seq < 0 {
+	if err != nil || seq < 0 || ref[at+1:] != strconv.Itoa(seq) {
 		return "", 0, fmt.Errorf("core: bad digest sequence in %q", ref)
 	}
 	return ref[:at], seq, nil

@@ -73,19 +73,9 @@ func TestProblemDigestStability(t *testing.T) {
 	}
 }
 
-// TestProblemDigestRejectsNaNCoordinate: a NaN node coordinate has no
-// interchange encoding, so the problem has no digest.
+// TestProblemDigestRejectsNaNCoordinate: a NaN or infinite node
+// coordinate has no interchange encoding, so the problem has no digest.
 func TestProblemDigestRejectsNaNCoordinate(t *testing.T) {
-	b := graph.NewBuilder(2, 2)
-	b.AddNode(geo.Pt(0, 0))
-	b.AddNode(geo.Pt(math.NaN(), 1))
-	if err := b.AddStreet(0, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
 	f, err := flow.New("a", []graph.NodeID{0, 1}, 1, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -94,9 +84,31 @@ func TestProblemDigestRejectsNaNCoordinate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &Problem{Graph: g, Shop: 1, Flows: flows, Utility: utility.Linear{D: 10}, K: 1}
-	if d, err := ProblemDigest(p); err == nil {
-		t.Fatalf("digest %q of a NaN-coordinate problem, want an error", d)
+	for _, tc := range []struct {
+		name string
+		pt   geo.Point
+	}{
+		{"NaN x", geo.Pt(math.NaN(), 1)},
+		{"NaN y", geo.Pt(1, math.NaN())},
+		{"+Inf x", geo.Pt(math.Inf(1), 1)},
+		{"-Inf x", geo.Pt(math.Inf(-1), 1)},
+		{"+Inf y", geo.Pt(1, math.Inf(1))},
+		{"-Inf y", geo.Pt(1, math.Inf(-1))},
+	} {
+		b := graph.NewBuilder(2, 2)
+		b.AddNode(geo.Pt(0, 0))
+		b.AddNode(tc.pt)
+		if err := b.AddStreet(0, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := &Problem{Graph: g, Shop: 1, Flows: flows, Utility: utility.Linear{D: 10}, K: 1}
+		if d, err := ProblemDigest(p); err == nil {
+			t.Errorf("%s: digest %q of a non-finite-coordinate problem, want an error", tc.name, d)
+		}
 	}
 }
 

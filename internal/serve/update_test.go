@@ -207,6 +207,12 @@ func TestUpdateLifecycle(t *testing.T) {
 			http.StatusNotFound, CodeUnknownDigest},
 		{"malformed digest ref", "/v1/place",
 			PlaceRequest{Digest: base + "@x", K: 2}, http.StatusNotFound, CodeUnknownDigest},
+		// Non-canonical spellings of the live sequence name no engine.
+		{"signed digest seq place", "/v1/place",
+			PlaceRequest{Digest: base + "@+2", K: 2}, http.StatusNotFound, CodeUnknownDigest},
+		{"zero-padded digest seq update", "/v1/update",
+			UpdateRequest{Digest: base + "@02", Updates: []FlowUpdateSpec{{Op: "set_volume", Flow: 0, Volume: 5}}},
+			http.StatusNotFound, CodeUnknownDigest},
 		{"out-of-range flow", "/v1/update",
 			UpdateRequest{Digest: base, Updates: []FlowUpdateSpec{{Op: "set_volume", Flow: 99, Volume: 5}}},
 			http.StatusUnprocessableEntity, CodeBadUpdate},

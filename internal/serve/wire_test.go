@@ -10,9 +10,7 @@ import (
 	"strings"
 	"testing"
 
-	"roadside/internal/citygen"
 	"roadside/internal/core"
-	"roadside/internal/flow"
 	"roadside/internal/testutil"
 	"roadside/internal/utility"
 )
@@ -233,26 +231,7 @@ func readCorpus(tb testing.TB, dir string) [][]byte {
 // the wire decoder, the encoding/json oracle, and the router's routing
 // key, which decodes and digests the problem.
 func BenchmarkWireDecode(b *testing.B) {
-	city, err := citygen.Generate(citygen.SeattleConfig(), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	demand := citygen.DefaultDemand()
-	demand.Routes = 120
-	routes, err := citygen.GenerateRoutes(city, demand, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	flowList, err := citygen.RoutesToFlows(routes, 100, 0.001)
-	if err != nil {
-		b.Fatal(err)
-	}
-	flows, err := flow.NewSet(flowList)
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec, err := ProblemSpecOf(&core.Problem{Graph: city.Graph, Shop: flowList[0].Dest, Flows: flows,
-		Utility: utility.Linear{D: 2000}, K: 5})
+	spec, err := ProblemSpecOf(seattleProblem(b))
 	if err != nil {
 		b.Fatal(err)
 	}

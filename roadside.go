@@ -149,7 +149,10 @@ func NewEngineMaxShard(p *Problem, workers, maxShardVisits int) (*Engine, error)
 }
 
 // DigestVersion prefixes every problem digest; it changes whenever the
-// canonical encoding changes.
+// canonical encoding changes. "rapd2" digests hash a binary canonical form
+// of the problem (fixed-width integers, IEEE-754 float bits,
+// length-framed strings and lists); "rapd1" digests hashed the JSON
+// interchange encodings and are no longer produced.
 const DigestVersion = core.DigestVersion
 
 // ProblemDigest returns the stable content digest of a problem: equal

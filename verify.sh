@@ -51,6 +51,9 @@ go test -run '^$' -fuzz '^FuzzJobsRequest$' -fuzztime 10s ./internal/serve
 echo "==> fuzz smoke: FuzzWireDecode (10s)"
 go test -run '^$' -fuzz '^FuzzWireDecode$' -fuzztime 10s ./internal/serve
 
+echo "==> fuzz smoke: FuzzProblemDigest (10s)"
+go test -run '^$' -fuzz '^FuzzProblemDigest$' -fuzztime 10s ./internal/serve
+
 echo "==> fuzz smoke: FuzzIgnoreDirective (10s)"
 go test -run '^$' -fuzz '^FuzzIgnoreDirective$' -fuzztime 10s ./internal/lint
 
