@@ -37,7 +37,17 @@ const DigestVersion = "rapd2"
 // distinct problems colliding is not a practical concern; two problems
 // with equal digests may be treated as the same engine-construction input.
 func ProblemDigest(p *Problem) (string, error) {
-	if p == nil || p.Graph == nil || p.Flows == nil || p.Utility == nil {
+	if p == nil || p.Flows == nil {
+		return "", ErrNilField
+	}
+	return DigestWithFlows(p, p.Flows)
+}
+
+// DigestWithFlows is ProblemDigest of the problem whose flows are flows
+// instead of p.Flows, which it ignores: the digest of a problem whose flow
+// set is not built yet, equal to the digest it has once built.
+func DigestWithFlows(p *Problem, flows FlowList) (string, error) {
+	if p == nil || p.Graph == nil || flows == nil || p.Utility == nil {
 		return "", ErrNilField
 	}
 	w := digestWriter{h: sha256.New()}
@@ -64,9 +74,9 @@ func ProblemDigest(p *Problem) (string, error) {
 	}
 
 	w.tag('f')
-	w.u64(uint64(p.Flows.Len()))
-	for i := 0; i < p.Flows.Len(); i++ {
-		f := p.Flows.At(i)
+	w.u64(uint64(flows.Len()))
+	for i := 0; i < flows.Len(); i++ {
+		f := flows.At(i)
 		// The wire, like encoding/json, carries each invalid UTF-8 byte
 		// of an ID as U+FFFD, and so does string([]rune(id)); hashing
 		// that form keeps a problem's digest equal to its wire copy's.

@@ -58,10 +58,27 @@ type Problem struct {
 	Model ObjectiveModel
 }
 
+// FlowList is read access to a problem's flows: a *flow.Set, or a
+// validated flow.List before its set and incidence index are built.
+type FlowList interface {
+	Len() int
+	At(i int) flow.Flow
+}
+
 // Validate checks the instance for structural problems. It does not verify
 // each flow path edge-by-edge (see flow.Set.ValidateAll for that).
 func (p *Problem) Validate() error {
-	if p == nil || p.Graph == nil || p.Flows == nil || p.Utility == nil {
+	if p == nil || p.Flows == nil {
+		return ErrNilField
+	}
+	return p.ValidateWithFlows(p.Flows)
+}
+
+// ValidateWithFlows is Validate of the problem whose flows are flows
+// instead of p.Flows, which it ignores: it checks a problem before its
+// flow set is built.
+func (p *Problem) ValidateWithFlows(flows FlowList) error {
+	if p == nil || p.Graph == nil || flows == nil || p.Utility == nil {
 		return ErrNilField
 	}
 	if p.K < 1 {

@@ -83,6 +83,26 @@ func (f Flow) Length(g *graph.Graph) (float64, error) {
 	return g.PathLength(f.Path)
 }
 
+// List is a plain flow list: what a decoded flow list is once validated
+// (Parsed.List), before NewSet builds its incidence index.
+type List []Flow
+
+// Len returns the number of flows.
+func (l List) Len() int { return len(l) }
+
+// At returns the i-th flow.
+func (l List) At(i int) Flow { return l[i] }
+
+// ValidateAll checks every flow's path against g.
+func (l List) ValidateAll(g *graph.Graph) error {
+	for i, f := range l {
+		if err := f.Validate(g); err != nil {
+			return fmt.Errorf("flow %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // Set is an immutable collection of flows with per-node incidence lookups.
 type Set struct {
 	flows  []Flow
@@ -194,11 +214,4 @@ func (s *Set) NodeVolume(v graph.NodeID) float64 {
 func (s *Set) NodeCardinality(v graph.NodeID) int { return len(s.byNode[v]) }
 
 // ValidateAll checks every flow's path against g.
-func (s *Set) ValidateAll(g *graph.Graph) error {
-	for i, f := range s.flows {
-		if err := f.Validate(g); err != nil {
-			return fmt.Errorf("flow %d: %w", i, err)
-		}
-	}
-	return nil
-}
+func (s *Set) ValidateAll(g *graph.Graph) error { return List(s.flows).ValidateAll(g) }

@@ -64,13 +64,19 @@ func (s *Set) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// DecodeJSON parses flows in the JSON interchange format and rebuilds the
-// set, validating every flow through New and NewSet. data must hold
-// exactly one JSON value, optionally surrounded by whitespace.
-func DecodeJSON(data []byte) (*Set, error) {
-	var in []jsonFlow
-	d := wire.NewDecoder(data)
-	err := wire.Slice(d, &in, func(jf *jsonFlow) error {
+// Parsed is a flow list in the JSON interchange format, parsed but not
+// yet validated: the value Decode reads from inside a larger document,
+// which List validates once the document has been walked.
+type Parsed struct {
+	in []jsonFlow
+}
+
+// Decode decodes the flow list at d's cursor into p, replacing what p
+// held. It reports type and range errors as well as grammar errors; the
+// flows are checked by List.
+func (p *Parsed) Decode(d *wire.Decoder) error {
+	p.in = nil
+	return wire.Slice(d, &p.in, func(jf *jsonFlow) error {
 		return d.Object(flowKeys, func(name string) error {
 			switch name {
 			case "id":
@@ -83,19 +89,42 @@ func DecodeJSON(data []byte) (*Set, error) {
 			return d.Float(&jf.Alpha)
 		})
 	})
+}
+
+// List validates every decoded flow through New and returns them, or
+// ErrEmptySet for an empty list: the checks of NewSet without building
+// its incidence index.
+func (p *Parsed) List() (List, error) {
+	if len(p.in) == 0 {
+		return nil, ErrEmptySet
+	}
+	flows := make(List, 0, len(p.in))
+	for i, jf := range p.in {
+		f, err := New(jf.ID, jf.Path, jf.Volume, jf.Alpha)
+		if err != nil {
+			return nil, fmt.Errorf("flow: entry %d: %w", i, err)
+		}
+		flows = append(flows, f)
+	}
+	return flows, nil
+}
+
+// DecodeJSON parses flows in the JSON interchange format and rebuilds the
+// set (Parsed.Decode, Parsed.List, then NewSet). data must hold exactly
+// one JSON value, optionally surrounded by whitespace.
+func DecodeJSON(data []byte) (*Set, error) {
+	var p Parsed
+	d := wire.NewDecoder(data)
+	err := p.Decode(d)
 	if err == nil {
 		err = d.End()
 	}
 	if err != nil {
 		return nil, fmt.Errorf("flow: decode: %w", err)
 	}
-	flows := make([]Flow, 0, len(in))
-	for i, jf := range in {
-		f, err := New(jf.ID, jf.Path, jf.Volume, jf.Alpha)
-		if err != nil {
-			return nil, fmt.Errorf("flow: entry %d: %w", i, err)
-		}
-		flows = append(flows, f)
+	flows, err := p.List()
+	if err != nil {
+		return nil, err
 	}
 	return NewSet(flows)
 }

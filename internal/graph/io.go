@@ -80,28 +80,31 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// DecodeJSON parses a graph from the JSON interchange format. data must
-// hold exactly one JSON value, optionally surrounded by whitespace. Every
-// edge goes through Builder.AddEdge and the graph through Build, so a
-// decoded graph passes the same checks as a built one.
-func DecodeJSON(data []byte) (*Graph, error) {
-	var (
-		nodes []geo.Point
-		edges []jsonEdge
-	)
-	d := wire.NewDecoder(data)
-	err := d.Object(graphKeys, func(name string) error {
+// Parsed is a graph in the JSON interchange format, parsed but not yet
+// built: the value Decode reads from inside a larger document, which
+// Build turns into a Graph once the document has been walked.
+type Parsed struct {
+	nodes []geo.Point
+	edges []jsonEdge
+}
+
+// Decode decodes the graph value at d's cursor into p, replacing what p
+// held. It reports type and range errors as well as grammar errors; the
+// edges are checked by Build.
+func (p *Parsed) Decode(d *wire.Decoder) error {
+	*p = Parsed{}
+	return d.Object(graphKeys, func(name string) error {
 		if name == "nodes" {
-			return wire.Slice(d, &nodes, func(p *geo.Point) error {
+			return wire.Slice(d, &p.nodes, func(pt *geo.Point) error {
 				return d.Object(pointKeys, func(name string) error {
 					if name == "x" {
-						return d.Float(&p.X)
+						return d.Float(&pt.X)
 					}
-					return d.Float(&p.Y)
+					return d.Float(&pt.Y)
 				})
 			})
 		}
-		return wire.Slice(d, &edges, func(e *jsonEdge) error {
+		return wire.Slice(d, &p.edges, func(e *jsonEdge) error {
 			return d.Object(edgeKeys, func(name string) error {
 				switch name {
 				case "from":
@@ -113,14 +116,14 @@ func DecodeJSON(data []byte) (*Graph, error) {
 			})
 		})
 	})
-	if err == nil {
-		err = d.End()
-	}
-	if err != nil {
-		return nil, fmt.Errorf("graph: decode: %w", err)
-	}
-	b := &Builder{pts: nodes, edges: make([]edge, 0, len(edges))}
-	for i, e := range edges {
+}
+
+// Build builds the decoded graph. Every edge goes through
+// Builder.AddEdge and the graph through Build, so a decoded graph passes
+// the same checks as a built one.
+func (p *Parsed) Build() (*Graph, error) {
+	b := &Builder{pts: p.nodes, edges: make([]edge, 0, len(p.edges))}
+	for i, e := range p.edges {
 		if err := b.AddEdge(e.From, e.To, e.Weight); err != nil {
 			return nil, fmt.Errorf("graph: edge %d: %w", i, err)
 		}
@@ -130,6 +133,22 @@ func DecodeJSON(data []byte) (*Graph, error) {
 		return nil, fmt.Errorf("graph: build: %w", err)
 	}
 	return g, nil
+}
+
+// DecodeJSON parses a graph from the JSON interchange format and builds
+// it (Parsed.Decode, then Parsed.Build). data must hold exactly one JSON
+// value, optionally surrounded by whitespace.
+func DecodeJSON(data []byte) (*Graph, error) {
+	var p Parsed
+	d := wire.NewDecoder(data)
+	err := p.Decode(d)
+	if err == nil {
+		err = d.End()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("graph: decode: %w", err)
+	}
+	return p.Build()
 }
 
 // ReadJSON reads all of r and decodes it with DecodeJSON; data after the

@@ -42,7 +42,7 @@ var (
 	batchItemKeys = wire.NewKeys("k", "algo")
 )
 
-func (req *BatchRequest) wireField(d *wire.Decoder, name string) error {
+func (req *BatchRequest) wireField(d *wire.Decoder, name string, sw *specWire) error {
 	switch name {
 	case "digest":
 		return d.String(&req.Digest)
@@ -58,7 +58,7 @@ func (req *BatchRequest) wireField(d *wire.Decoder, name string) error {
 	case "timeout_ms":
 		return d.Float(&req.TimeoutMS)
 	}
-	return req.ProblemSpec.wireField(d, name)
+	return sw.wireField(d, name)
 }
 
 // BatchItemResult is one item's answer. Either the placement fields are set
@@ -88,9 +88,10 @@ type BatchResponse struct {
 // Envelope failures (no items, too many items, a malformed problem) reject
 // the whole request; per-item validation is deliberately deferred to
 // execution so one bad item cannot sink its neighbours.
-func decodeBatchRequest(body []byte, maxItems int) (*BatchRequest, *core.Problem, *APIError) {
+func decodeBatchRequest(body []byte, maxItems int) (*BatchRequest, *problem, *APIError) {
 	var req BatchRequest
-	if apiErr := decodeBody(body, batchKeys, req.wireField); apiErr != nil {
+	sw, apiErr := decodeSpecBody(body, batchKeys, &req.ProblemSpec, req.wireField)
+	if apiErr != nil {
 		return nil, nil, apiErr
 	}
 	if len(req.Items) == 0 {
@@ -105,7 +106,7 @@ func decodeBatchRequest(body []byte, maxItems int) (*BatchRequest, *core.Problem
 	}
 	// The shared engine ignores K (the digest excludes it); items carry
 	// their own budgets.
-	p, apiErr := decodeProblem(&req.ProblemSpec, 1)
+	p, apiErr := decodeProblem(sw, 1)
 	if apiErr != nil {
 		return nil, nil, apiErr
 	}
@@ -163,7 +164,7 @@ func (s *Server) handleBatch(r *http.Request, body []byte) (any, *APIError) {
 
 // runBatch is the transport-free core of /v1/batch; the async job lane
 // reuses it under a job-scoped context.
-func (s *Server) runBatch(ctx context.Context, req *BatchRequest, p *core.Problem) (any, *APIError) {
+func (s *Server) runBatch(ctx context.Context, req *BatchRequest, p *problem) (any, *APIError) {
 	var (
 		apiErr          *APIError
 		eng             *core.Engine

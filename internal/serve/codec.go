@@ -22,11 +22,11 @@ import (
 //
 // Request bodies are decoded by the wire package in one walk: each
 // request type's wireField method decodes the members its key table
-// selects, the graph and flows are captured as extents of the body and
-// handed to their codecs by decodeProblem, and everything is accepted
-// exactly as encoding/json would accept it into the tagged structs below.
-// The structs keep their json tags for clients that build bodies with
-// encoding/json.
+// selects, the graph and flows are parsed by their codecs in the same
+// walk (and also kept as extents of the body in ProblemSpec), and
+// everything is accepted exactly as encoding/json would accept it into the
+// tagged structs below. The structs keep their json tags for clients that
+// build bodies with encoding/json.
 
 // ProblemSpec is the problem section shared by every solve endpoint.
 type ProblemSpec struct {
@@ -68,14 +68,30 @@ func requestKeys(own ...string) *wire.Keys {
 	return wire.NewKeys(append(append([]string(nil), problemKeys...), own...)...)
 }
 
-// wireField decodes the ProblemSpec member name, one of problemKeys.
-func (spec *ProblemSpec) wireField(d *wire.Decoder, name string) error {
+// specWire is the state of one body walk over a ProblemSpec: the spec's
+// fields, plus the graph and flows parsed from the same bytes but not yet
+// built. An error inside the graph or flows member that leaves the body's
+// grammar intact is recorded rather than returned, so it surfaces from
+// decodeProblem in the order and under the code it always has, and only
+// when the problem is decoded at all.
+type specWire struct {
+	spec     *ProblemSpec
+	graph    graph.Parsed
+	flows    flow.Parsed
+	graphErr error
+	flowsErr error
+}
+
+// wireField decodes the ProblemSpec member name, one of problemKeys. A
+// duplicate graph or flows member replaces the earlier one entirely.
+func (sw *specWire) wireField(d *wire.Decoder, name string) error {
 	var err error
+	spec := sw.spec
 	switch name {
 	case "graph":
-		spec.Graph, err = d.Raw()
+		spec.Graph, sw.graphErr, err = d.Value(func() error { return sw.graph.Decode(d) })
 	case "flows":
-		spec.Flows, err = d.Raw()
+		spec.Flows, sw.flowsErr, err = d.Value(func() error { return sw.flows.Decode(d) })
 	case "utility":
 		err = d.String(&spec.Utility)
 	case "utility_d":
@@ -88,6 +104,14 @@ func (spec *ProblemSpec) wireField(d *wire.Decoder, name string) error {
 		err = wire.Ints(d, &spec.Candidates)
 	}
 	return err
+}
+
+// decodeSpecBody is decodeBody for a request embedding spec: field
+// decodes the request's own members and hands the others to the returned
+// walk state's wireField.
+func decodeSpecBody(body []byte, keys *wire.Keys, spec *ProblemSpec, field func(d *wire.Decoder, name string, sw *specWire) error) (*specWire, *APIError) {
+	sw := &specWire{spec: spec}
+	return sw, decodeBody(body, keys, func(d *wire.Decoder, name string) error { return field(d, name, sw) })
 }
 
 // decodeBody walks a request body once, handing each member keys selects
@@ -124,7 +148,7 @@ type PlaceRequest struct {
 
 var placeKeys = requestKeys("k", "algo", "digest", "timeout_ms")
 
-func (req *PlaceRequest) wireField(d *wire.Decoder, name string) error {
+func (req *PlaceRequest) wireField(d *wire.Decoder, name string, sw *specWire) error {
 	switch name {
 	case "k":
 		return wire.Int(d, &req.K)
@@ -135,7 +159,7 @@ func (req *PlaceRequest) wireField(d *wire.Decoder, name string) error {
 	case "timeout_ms":
 		return d.Float(&req.TimeoutMS)
 	}
-	return req.ProblemSpec.wireField(d, name)
+	return sw.wireField(d, name)
 }
 
 // PlaceResponse is the solved placement.
@@ -161,7 +185,7 @@ type EvaluateRequest struct {
 
 var evaluateKeys = requestKeys("placement", "digest", "timeout_ms")
 
-func (req *EvaluateRequest) wireField(d *wire.Decoder, name string) error {
+func (req *EvaluateRequest) wireField(d *wire.Decoder, name string, sw *specWire) error {
 	switch name {
 	case "placement":
 		return wire.Ints(d, &req.Placement)
@@ -170,7 +194,7 @@ func (req *EvaluateRequest) wireField(d *wire.Decoder, name string) error {
 	case "timeout_ms":
 		return d.Float(&req.TimeoutMS)
 	}
-	return req.ProblemSpec.wireField(d, name)
+	return sw.wireField(d, name)
 }
 
 // FlowAttraction is one flow's share of an evaluated placement. Covered
@@ -205,7 +229,7 @@ type DetourRequest struct {
 
 var detourKeys = requestKeys("nodes", "digest", "timeout_ms")
 
-func (req *DetourRequest) wireField(d *wire.Decoder, name string) error {
+func (req *DetourRequest) wireField(d *wire.Decoder, name string, sw *specWire) error {
 	switch name {
 	case "nodes":
 		return wire.Ints(d, &req.Nodes)
@@ -214,7 +238,7 @@ func (req *DetourRequest) wireField(d *wire.Decoder, name string) error {
 	case "timeout_ms":
 		return d.Float(&req.TimeoutMS)
 	}
-	return req.ProblemSpec.wireField(d, name)
+	return sw.wireField(d, name)
 }
 
 // NodeDetours is one queried intersection: which flows pass it and at what
@@ -340,22 +364,55 @@ func errorf(status int, code, format string, args ...any) *APIError {
 	return &APIError{Status: status, Code: code, Message: fmt.Sprintf(format, args...)}
 }
 
-// decodeProblem turns a wire problem into a validated core.Problem with
+// problem is a decoded full problem. decodeProblem has run every check a
+// core.Problem built from it passes, in the same order, but its flows are
+// still a plain list: the flow set's incidence index, which only engine
+// construction reads, is built by build on a cache miss. The router and
+// every cache hit take the digest without it.
+type problem struct {
+	base  core.Problem // Flows is nil; the flows are in flows
+	flows flow.List
+}
+
+// Validate runs core.Problem.Validate's checks on p.
+func (p *problem) Validate() error { return p.base.ValidateWithFlows(p.flows) }
+
+// digest is core.ProblemDigest of the problem build returns.
+func (p *problem) digest() (string, error) { return core.DigestWithFlows(&p.base, p.flows) }
+
+// build returns the core.Problem, building the flow set and its index.
+func (p *problem) build() (*core.Problem, error) {
+	set, err := flow.NewSet(p.flows)
+	if err != nil {
+		return nil, err
+	}
+	q := p.base
+	q.Flows = set
+	return &q, nil
+}
+
+// decodeProblem builds and validates the problem a body walk decoded, with
 // budget k. Every failure maps to a stable error code; nothing here may
 // panic on adversarial input (FuzzServeRequest enforces that through the
 // endpoint decoders above it).
-func decodeProblem(spec *ProblemSpec, k int) (*core.Problem, *APIError) {
-	if len(spec.Graph) == 0 {
+func decodeProblem(sw *specWire, k int) (*problem, *APIError) {
+	if len(sw.spec.Graph) == 0 {
 		return nil, errorf(http.StatusUnprocessableEntity, CodeBadGraph, "missing graph")
 	}
-	if len(spec.Flows) == 0 {
+	if len(sw.spec.Flows) == 0 {
 		return nil, errorf(http.StatusUnprocessableEntity, CodeBadFlows, "missing flows")
 	}
-	g, err := graph.DecodeJSON(spec.Graph)
+	if sw.graphErr != nil {
+		return nil, errorf(http.StatusUnprocessableEntity, CodeBadGraph, "graph: decode: %v", sw.graphErr)
+	}
+	g, err := sw.graph.Build()
 	if err != nil {
 		return nil, errorf(http.StatusUnprocessableEntity, CodeBadGraph, "graph: %v", err)
 	}
-	flows, err := flow.DecodeJSON(spec.Flows)
+	if sw.flowsErr != nil {
+		return nil, errorf(http.StatusUnprocessableEntity, CodeBadFlows, "flows: decode: %v", sw.flowsErr)
+	}
+	flows, err := sw.flows.List()
 	if err != nil {
 		return nil, errorf(http.StatusUnprocessableEntity, CodeBadFlows, "flows: %v", err)
 	}
@@ -364,19 +421,22 @@ func decodeProblem(spec *ProblemSpec, k int) (*core.Problem, *APIError) {
 	if err := flows.ValidateAll(g); err != nil {
 		return nil, errorf(http.StatusUnprocessableEntity, CodeBadFlows, "flows: %v", err)
 	}
+	spec := sw.spec
 	u, err := utility.ByName(spec.Utility, spec.UtilityD)
 	if err != nil {
 		return nil, errorf(http.StatusUnprocessableEntity, CodeUnknownUtility,
 			"utility %q (D=%g): %v", spec.Utility, spec.UtilityD, err)
 	}
-	p := &core.Problem{
-		Graph:      g,
-		Shop:       spec.Shop,
-		ExtraShops: append([]graph.NodeID(nil), spec.ExtraShops...),
-		Flows:      flows,
-		Utility:    u,
-		K:          k,
-		Candidates: append([]graph.NodeID(nil), spec.Candidates...),
+	p := &problem{
+		base: core.Problem{
+			Graph:      g,
+			Shop:       spec.Shop,
+			ExtraShops: append([]graph.NodeID(nil), spec.ExtraShops...),
+			Utility:    u,
+			K:          k,
+			Candidates: append([]graph.NodeID(nil), spec.Candidates...),
+		},
+		flows: flows,
 	}
 	if err := p.Validate(); err != nil {
 		return nil, errorf(http.StatusUnprocessableEntity, CodeBadProblem, "%v", err)
@@ -387,9 +447,10 @@ func decodeProblem(spec *ProblemSpec, k int) (*core.Problem, *APIError) {
 // decodePlaceRequest parses and structurally validates a /v1/place body.
 // With a digest reference the problem fields stay undecoded and p is nil;
 // the handler resolves the engine from the cache instead.
-func decodePlaceRequest(body []byte) (*PlaceRequest, *core.Problem, *APIError) {
+func decodePlaceRequest(body []byte) (*PlaceRequest, *problem, *APIError) {
 	var req PlaceRequest
-	if apiErr := decodeBody(body, placeKeys, req.wireField); apiErr != nil {
+	sw, apiErr := decodeSpecBody(body, placeKeys, &req.ProblemSpec, req.wireField)
+	if apiErr != nil {
 		return nil, nil, apiErr
 	}
 	if req.K < 1 {
@@ -404,7 +465,7 @@ func decodePlaceRequest(body []byte) (*PlaceRequest, *core.Problem, *APIError) {
 	if req.Digest != "" {
 		return &req, nil, nil
 	}
-	p, apiErr := decodeProblem(&req.ProblemSpec, req.K)
+	p, apiErr := decodeProblem(sw, req.K)
 	if apiErr != nil {
 		return nil, nil, apiErr
 	}
@@ -427,28 +488,30 @@ func validNodes(g *graph.Graph, nodes []graph.NodeID, code, what string) *APIErr
 // decodeEvaluateRequest parses and validates a /v1/evaluate body. The
 // returned problem carries K=1: evaluation ignores the budget, and the
 // digest excludes it, so the engine is shared with placement queries.
-func decodeEvaluateRequest(body []byte) (*EvaluateRequest, *core.Problem, *APIError) {
+func decodeEvaluateRequest(body []byte) (*EvaluateRequest, *problem, *APIError) {
 	var req EvaluateRequest
-	if apiErr := decodeBody(body, evaluateKeys, req.wireField); apiErr != nil {
+	sw, apiErr := decodeSpecBody(body, evaluateKeys, &req.ProblemSpec, req.wireField)
+	if apiErr != nil {
 		return nil, nil, apiErr
 	}
 	if req.Digest != "" {
 		return &req, nil, nil
 	}
-	p, apiErr := decodeProblem(&req.ProblemSpec, 1)
+	p, apiErr := decodeProblem(sw, 1)
 	if apiErr != nil {
 		return nil, nil, apiErr
 	}
-	if apiErr := validNodes(p.Graph, req.Placement, CodeBadPlacement, "placement"); apiErr != nil {
+	if apiErr := validNodes(p.base.Graph, req.Placement, CodeBadPlacement, "placement"); apiErr != nil {
 		return nil, nil, apiErr
 	}
 	return &req, p, nil
 }
 
 // decodeDetourRequest parses and validates a /v1/detour body.
-func decodeDetourRequest(body []byte) (*DetourRequest, *core.Problem, *APIError) {
+func decodeDetourRequest(body []byte) (*DetourRequest, *problem, *APIError) {
 	var req DetourRequest
-	if apiErr := decodeBody(body, detourKeys, req.wireField); apiErr != nil {
+	sw, apiErr := decodeSpecBody(body, detourKeys, &req.ProblemSpec, req.wireField)
+	if apiErr != nil {
 		return nil, nil, apiErr
 	}
 	if len(req.Nodes) == 0 {
@@ -457,11 +520,11 @@ func decodeDetourRequest(body []byte) (*DetourRequest, *core.Problem, *APIError)
 	if req.Digest != "" {
 		return &req, nil, nil
 	}
-	p, apiErr := decodeProblem(&req.ProblemSpec, 1)
+	p, apiErr := decodeProblem(sw, 1)
 	if apiErr != nil {
 		return nil, nil, apiErr
 	}
-	if apiErr := validNodes(p.Graph, req.Nodes, CodeBadNodes, "queried"); apiErr != nil {
+	if apiErr := validNodes(p.base.Graph, req.Nodes, CodeBadNodes, "queried"); apiErr != nil {
 		return nil, nil, apiErr
 	}
 	return &req, p, nil

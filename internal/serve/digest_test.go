@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"strings"
@@ -42,24 +43,42 @@ func seattleProblem(tb testing.TB) *core.Problem {
 		Utility: utility.Linear{D: 2000}, K: 5}
 }
 
-// wireRoundTrip sends p through the wire form: ProblemSpecOf, then
-// decodeProblem, as a full-problem request body is decoded.
-func wireRoundTrip(t *testing.T, p *core.Problem) *core.Problem {
+// wireDigests sends p through the wire form as a full-problem /v1/place
+// body and returns the router's routing key, the worker's digest of the
+// decoded problem, and core.ProblemDigest of the problem the worker builds
+// from it on a cache miss.
+func wireDigests(t *testing.T, r *Router, p *core.Problem) (route, worker, built string) {
 	t.Helper()
 	spec, err := ProblemSpecOf(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, apiErr := decodeProblem(&spec, p.K)
+	body, err := json.Marshal(PlaceRequest{ProblemSpec: spec, K: p.K})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, wp, apiErr := decodePlaceRequest(body)
 	if apiErr != nil {
 		t.Fatal(apiErr)
 	}
-	return q
+	if worker, err = wp.digest(); err != nil {
+		t.Fatal(err)
+	}
+	q, err := wp.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if built, err = core.ProblemDigest(q); err != nil {
+		t.Fatal(err)
+	}
+	return r.routingKey(body), worker, built
 }
 
 // TestProblemDigestWireRoundTrip: a problem and its wire round trip have
 // the same digest, so the router and the worker, which digest the decoded
-// body, agree with a library caller digesting the original.
+// body without building its flow set, agree with each other, with the
+// problem the worker builds, and with a library caller digesting the
+// original.
 func TestProblemDigestWireRoundTrip(t *testing.T) {
 	fig4 := testutil.Fig4Problem(t, utility.Sqrt{D: 6})
 	fig4.ExtraShops = []graph.NodeID{3}
@@ -69,17 +88,16 @@ func TestProblemDigestWireRoundTrip(t *testing.T) {
 		"seattle": seattleProblem(t),
 		"random":  testutil.RandomProblem(t, rand.New(rand.NewSource(3)), 80, 30, 4, utility.Threshold{D: 20}),
 	}
+	r := newTestRouter(t)
 	for name, p := range problems {
 		want, err := core.ProblemDigest(p)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, err := core.ProblemDigest(wireRoundTrip(t, p))
-		if err != nil {
-			t.Fatalf("%s: round trip: %v", name, err)
-		}
-		if got != want {
-			t.Errorf("%s: digest %s after the wire round trip, %s before", name, got, want)
+		route, worker, built := wireDigests(t, r, p)
+		if route != want || worker != want || built != want {
+			t.Errorf("%s: after the wire round trip routing key %s, worker %s, built %s; %s before",
+				name, route, worker, built, want)
 		}
 	}
 }
@@ -143,6 +161,7 @@ func FuzzProblemDigest(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf8, 0x7f}, "x", 3.0, 0.0, uint8(1))  // NaN x
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0xff}, "y", 3.0, 0.25, uint8(7)) // -Inf x
 	f.Add([]byte{1}, "\xff,a\xed\xa0\x80,\xe2\x82", 5.0, 0.75, uint8(0x42))
+	r := newTestRouter(f)
 	f.Fuzz(func(t *testing.T, coords []byte, ids string, volume, alpha float64, shape uint8) {
 		p, ok := fuzzProblem(t, coords, ids, volume, alpha, shape)
 		if !ok {
@@ -168,12 +187,9 @@ func FuzzProblemDigest(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := core.ProblemDigest(wireRoundTrip(t, p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("digest %s after the wire round trip, %s before", got, want)
+		if route, worker, built := wireDigests(t, r, p); route != want || worker != want || built != want {
+			t.Fatalf("after the wire round trip routing key %s, worker %s, built %s; %s before",
+				route, worker, built, want)
 		}
 	})
 }

@@ -1,9 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
-	"io"
 	"math"
 	"net/http"
 	"time"
@@ -51,16 +51,10 @@ func (s *Server) solveEndpoint(name string, h solveHandler) http.HandlerFunc {
 			s.inflight.Done()
 		}()
 
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-		if err != nil {
+		body, apiErr := readBody(w, r, s.cfg.MaxBody)
+		if apiErr != nil {
 			errorsC.Inc()
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				writeError(w, errorf(http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
-					"request body exceeds %d bytes", s.cfg.MaxBody))
-			} else {
-				writeError(w, errorf(http.StatusBadRequest, CodeBadJSON, "read body: %v", err))
-			}
+			writeError(w, apiErr)
 			return
 		}
 		resp, apiErr := h(r, body)
@@ -73,6 +67,32 @@ func (s *Server) solveEndpoint(name string, h solveHandler) http.HandlerFunc {
 	}
 }
 
+// presizeCap bounds what readBody allocates on a client's word alone,
+// before the bytes arrive.
+const presizeCap = 1 << 20
+
+// readBody reads a request body of at most max bytes into one buffer,
+// sized up front from Content-Length when the client sent one (io.ReadAll
+// would regrow it about twenty times for a 100 KB problem). Only a tripped
+// byte limit is 413 body_too_large; any other read failure (disconnect
+// mid-upload, short body) is 400 bad_json. The router and the workers read
+// bodies alike.
+func readBody(w http.ResponseWriter, r *http.Request, max int64) ([]byte, *APIError) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= max {
+		buf.Grow(int(min(n, presizeCap)) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, max)); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return nil, errorf(http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
+				"request body exceeds %d bytes", max)
+		}
+		return nil, errorf(http.StatusBadRequest, CodeBadJSON, "read body: %v", err)
+	}
+	return buf.Bytes(), nil
+}
+
 // ctxError maps a context failure onto the wire. Both expiry and client
 // disconnect surface as deadline_exceeded: from the solver's point of view
 // the request's time ran out either way.
@@ -81,11 +101,13 @@ func ctxError(err error) *APIError {
 }
 
 // engineFor resolves the request problem to a cached (or freshly built)
-// engine under the concurrency gate. The caller must hold nothing; the
-// gate slot covers build-or-wait AND the solve that follows, which is why
-// release is returned instead of deferred here. On error release has
-// already been called and the returned func is nil.
-func (s *Server) engineFor(ctx context.Context, p *core.Problem) (eng *core.Engine, digest, outcome string, release func(), apiErr *APIError) {
+// engine under the concurrency gate: digest, then cache lookup. Only a
+// miss builds the flow set and the engine; a hit never does, so handlers
+// read the problem back from the engine (Engine.Problem). The caller must
+// hold nothing; the gate slot covers build-or-wait AND the solve that
+// follows, which is why release is returned instead of deferred here. On
+// error release has already been called and the returned func is nil.
+func (s *Server) engineFor(ctx context.Context, p *problem) (eng *core.Engine, digest, outcome string, release func(), apiErr *APIError) {
 	// Decode can outlive an aggressive timeout_ms; check once here so a
 	// pre-expired deadline fails deterministically before any engine work.
 	// The explicit deadline comparison matters: a just-created context whose
@@ -97,7 +119,7 @@ func (s *Server) engineFor(ctx context.Context, p *core.Problem) (eng *core.Engi
 	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
 		return nil, "", "", nil, ctxError(context.DeadlineExceeded)
 	}
-	digest, err := core.ProblemDigest(p)
+	digest, err := p.digest()
 	if err != nil {
 		return nil, "", "", nil, errorf(http.StatusInternalServerError, CodeInternal, "digest: %v", err)
 	}
@@ -105,7 +127,11 @@ func (s *Server) engineFor(ctx context.Context, p *core.Problem) (eng *core.Engi
 		return nil, "", "", nil, ctxError(err)
 	}
 	eng, outcome, err = s.cache.Get(ctx, digest, func() (*core.Engine, error) {
-		return core.NewEngine(p)
+		q, err := p.build()
+		if err != nil {
+			return nil, err
+		}
+		return core.NewEngine(q)
 	})
 	if err != nil {
 		s.gate.Release()
@@ -152,7 +178,7 @@ func (s *Server) handlePlace(r *http.Request, body []byte) (any, *APIError) {
 // (by digest reference or by building from the problem), budget it, and
 // dispatch the solver. The async job lane reuses it under a job-scoped
 // context instead of a request context.
-func (s *Server) runPlace(ctx context.Context, req *PlaceRequest, p *core.Problem) (any, *APIError) {
+func (s *Server) runPlace(ctx context.Context, req *PlaceRequest, p *problem) (any, *APIError) {
 	var (
 		eng             *core.Engine
 		warm            *core.Warm
@@ -207,8 +233,7 @@ func (s *Server) handleEvaluate(r *http.Request, body []byte) (any, *APIError) {
 		eng, _, digest, release, apiErr = s.engineByRef(ctx, req.Digest)
 		outcome = CacheHit
 		if apiErr == nil {
-			p = eng.Problem()
-			if vErr := validNodes(p.Graph, req.Placement, CodeBadPlacement, "placement"); vErr != nil {
+			if vErr := validNodes(eng.Problem().Graph, req.Placement, CodeBadPlacement, "placement"); vErr != nil {
 				release()
 				return nil, vErr
 			}
@@ -220,14 +245,15 @@ func (s *Server) handleEvaluate(r *http.Request, body []byte) (any, *APIError) {
 		return nil, apiErr
 	}
 	defer release()
-	flows := make([]FlowAttraction, p.Flows.Len())
+	ep := eng.Problem()
+	flows := make([]FlowAttraction, ep.Flows.Len())
 	for f := range flows {
-		fl := p.Flows.At(f)
+		fl := ep.Flows.At(f)
 		fa := FlowAttraction{Flow: f, ID: fl.ID}
 		if d := eng.FlowDetour(f, req.Placement); !math.IsInf(d, 1) {
 			fa.Covered = true
 			fa.Detour = d
-			fa.Prob = p.Utility.Prob(d, fl.Alpha)
+			fa.Prob = ep.Utility.Prob(d, fl.Alpha)
 			fa.Attracted = fa.Prob * fl.Volume
 		}
 		flows[f] = fa

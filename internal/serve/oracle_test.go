@@ -252,12 +252,29 @@ type oracleRouteProbe struct {
 	ProblemSpec
 }
 
+// oracleRoutingKey follows a job envelope one level, as workers read it: a
+// body whose inner request is itself an envelope is its own key.
 func oracleRoutingKey(body []byte) string {
 	var probe oracleRouteProbe
-	if err := json.Unmarshal(body, &probe); err == nil {
-		if probe.Digest == "" && probe.Graph == nil && len(probe.Request) > 0 {
-			return oracleRoutingKey(probe.Request)
+	err := json.Unmarshal(body, &probe)
+	if err == nil && probe.envelope() {
+		var inner oracleRouteProbe
+		if err = json.Unmarshal(probe.Request, &inner); err == nil && inner.envelope() {
+			return string(body)
 		}
+		return oracleProblemKey(probe.Request, &inner, err)
+	}
+	return oracleProblemKey(body, &probe, err)
+}
+
+func (probe *oracleRouteProbe) envelope() bool {
+	return probe.Digest == "" && probe.Graph == nil && len(probe.Request) > 0
+}
+
+// oracleProblemKey is the routing key of a body that is not a job
+// envelope, given the body's probe and its unmarshal error.
+func oracleProblemKey(body []byte, probe *oracleRouteProbe, err error) string {
+	if err == nil {
 		if probe.Digest != "" {
 			if base, _, err := core.SplitDigest(probe.Digest); err == nil {
 				return base

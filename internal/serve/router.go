@@ -224,20 +224,35 @@ func (r *Router) pick(key string) *routedBackend {
 // envelopes nest one inside request.
 var routeKeys = requestKeys("digest", "request")
 
-// routingKey extracts the base-digest routing key from a request body in
-// one walk. A digest reference yields its base digest exactly; a full
-// problem is decoded and digested so the follow-up by-reference queries,
-// updates, and lineage digests all hash to the same shard that builds the
-// engine. On any decode failure the raw body itself is the key: the owner
-// shard will produce the canonical error response, and equal bodies still
-// route equally.
+// routingKey extracts the base-digest routing key from a request body. A
+// digest reference yields its base digest exactly; a full problem is
+// decoded and digested so the follow-up by-reference queries, updates,
+// and lineage digests all hash to the same shard that builds the engine.
+// A job envelope takes the key of its inner request, so a job lands on the
+// same shard its synchronous twin would. Workers read one envelope level
+// and reject anything nested deeper, so a nested envelope is followed no
+// further: like every body that fails to decode or validate, it is its own
+// key. The owner shard produces the canonical error response, and equal
+// bodies still route equally.
 func (r *Router) routingKey(body []byte) string {
+	key, request := bodyRoute(body)
+	if request == nil {
+		return key
+	}
+	if key, nested := bodyRoute(request); nested == nil {
+		return key
+	}
+	return string(body)
+}
+
+// bodyRoute reads one body in one walk and returns its routing key, or,
+// for a job envelope, the inner request the key comes from instead.
+func bodyRoute(body []byte) (key string, request []byte) {
 	var (
-		spec    ProblemSpec
-		digest  string
-		request []byte
+		spec   ProblemSpec
+		digest string
 	)
-	apiErr := decodeBody(body, routeKeys, func(d *wire.Decoder, name string) error {
+	sw, apiErr := decodeSpecBody(body, routeKeys, &spec, func(d *wire.Decoder, name string, sw *specWire) error {
 		var err error
 		switch name {
 		case "digest":
@@ -245,32 +260,30 @@ func (r *Router) routingKey(body []byte) string {
 		case "request":
 			request, err = d.Raw()
 		default:
-			err = spec.wireField(d, name)
+			err = sw.wireField(d, name)
 		}
 		return err
 	})
 	if apiErr != nil {
-		return string(body)
+		return string(body), nil
 	}
 	if digest == "" && spec.Graph == nil && len(request) > 0 {
-		// A job envelope: the key comes from the inner request, so a job
-		// lands on the same shard its synchronous twin would.
-		return r.routingKey(request)
+		return "", request
 	}
 	if digest != "" {
 		if base, _, err := core.SplitDigest(digest); err == nil {
-			return base
+			return base, nil
 		}
-		return digest
+		return digest, nil
 	}
 	if spec.Graph != nil {
-		if p, apiErr := decodeProblem(&spec, 1); apiErr == nil {
-			if digest, err := core.ProblemDigest(p); err == nil {
-				return digest
+		if p, apiErr := decodeProblem(sw, 1); apiErr == nil {
+			if digest, err := p.digest(); err == nil {
+				return digest, nil
 			}
 		}
 	}
-	return string(body)
+	return string(body), nil
 }
 
 // handleKeyed proxies one digest-routed request.
@@ -282,19 +295,10 @@ func (r *Router) handleKeyed(w http.ResponseWriter, req *http.Request) {
 			"%s requires POST, got %s", req.URL.Path, req.Method))
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.maxBody))
-	if err != nil {
+	body, apiErr := readBody(w, req, r.maxBody)
+	if apiErr != nil {
 		r.routeErrs.Inc()
-		// Same error shape as the worker-side solveEndpoint: only a tripped
-		// byte limit is 413, any other read failure (disconnect mid-upload,
-		// short body) is a 400.
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, errorf(http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
-				"request body exceeds %d bytes", r.maxBody))
-		} else {
-			writeError(w, errorf(http.StatusBadRequest, CodeBadJSON, "read body: %v", err))
-		}
+		writeError(w, apiErr)
 		return
 	}
 	r.proxy(w, req, r.pick(r.routingKey(body)), body)

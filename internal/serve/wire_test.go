@@ -105,7 +105,7 @@ func checkWireDecode(t *testing.T, r *Router, body []byte) {
 // sameDecode fails t unless the wire decoder and the oracle rejected body
 // with the same status and code, or both accepted it with identical
 // decoded values and problems.
-func sameDecode(t *testing.T, what string, body []byte, got, want any, p, wantP *core.Problem, apiErr, wantErr *APIError) {
+func sameDecode(t *testing.T, what string, body []byte, got, want any, p *problem, wantP *core.Problem, apiErr, wantErr *APIError) {
 	t.Helper()
 	if (apiErr == nil) != (wantErr == nil) ||
 		(apiErr != nil && (apiErr.Status != wantErr.Status || apiErr.Code != wantErr.Code)) {
@@ -123,7 +123,7 @@ func sameDecode(t *testing.T, what string, body []byte, got, want any, p, wantP 
 	if p == nil {
 		return
 	}
-	d, err := core.ProblemDigest(p)
+	d, err := p.digest()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +131,8 @@ func sameDecode(t *testing.T, what string, body []byte, got, want any, p, wantP 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d != wd || p.K != wantP.K || p.Shop != wantP.Shop {
-		t.Fatalf("%s %q: problems differ: digest %s k=%d vs oracle %s k=%d", what, body, d, p.K, wd, wantP.K)
+	if d != wd || p.base.K != wantP.K || p.base.Shop != wantP.Shop {
+		t.Fatalf("%s %q: problems differ: digest %s k=%d vs oracle %s k=%d", what, body, d, p.base.K, wd, wantP.K)
 	}
 }
 
@@ -195,6 +195,14 @@ func wireSeeds(tb testing.TB) [][]byte {
 		[]byte(`{"request":{"digest":"rapd1-00@x","k":1},"kind":"place","timeout_ms":5}`),
 		[]byte(`{"digest":"rapd1-00@x","k":1}`),
 		[]byte(`{"digest":"rapd1-00","k":1} trailing`),
+		// Nested job envelopes: workers and the router read one level.
+		[]byte(`{"kind":"place","request":{"request":{"digest":"rapd1-00","k":1}}}`),
+		[]byte(`{"kind":"batch","request":{"request":{"request":null}},"timeout_ms":5}`),
+		[]byte(`{"request":{"request":{"request":{"digest":"rapd1-00@2"}}}}`),
+		[]byte(`{"request":{"request":[1,}}}`),
+		[]byte(`{"request":{"request":{"k":1},"digest":"rapd1-00"}}`),
+		[]byte(`{"kind":"place","request":{"request":{"k":1},"graph":`+g+`}}`),
+		[]byte(strings.Repeat(`{"request":`, 64)+`{"digest":"rapd1-00","k":1}`+strings.Repeat("}", 64)),
 	)
 	return seeds
 }
@@ -228,8 +236,9 @@ func readCorpus(tb testing.TB, dir string) [][]byte {
 
 // BenchmarkWireDecode times one full-problem /v1/place body of a
 // Seattle-size city (about 440 intersections, 120 bus-route flows) through
-// the wire decoder, the encoding/json oracle, and the router's routing
-// key, which decodes and digests the problem.
+// the wire decoder, the wire decoder plus the digest (all a cache hit does
+// before its solve; no flow-set index), the encoding/json oracle, and the
+// router's routing key, which decodes and digests the problem.
 func BenchmarkWireDecode(b *testing.B) {
 	spec, err := ProblemSpecOf(seattleProblem(b))
 	if err != nil {
@@ -245,6 +254,14 @@ func BenchmarkWireDecode(b *testing.B) {
 		run  func() error
 	}{
 		{"place", func() error { _, _, apiErr := decodePlaceRequest(body); return apiErrOrNil(apiErr) }},
+		{"place-hit", func() error {
+			_, p, apiErr := decodePlaceRequest(body)
+			if apiErr != nil {
+				return apiErr
+			}
+			_, err := p.digest()
+			return err
+		}},
 		{"place-oracle", func() error { _, _, apiErr := oracleDecodePlaceRequest(body); return apiErrOrNil(apiErr) }},
 		{"routing-key", func() error { r.routingKey(body); return nil }},
 		{"routing-key-oracle", func() error { oracleRoutingKey(body); return nil }},

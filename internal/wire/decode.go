@@ -199,6 +199,25 @@ func (d *Decoder) Raw() ([]byte, error) {
 	return d.data[start:d.pos], nil
 }
 
+// Value decodes the value at the cursor with decode and returns its bytes,
+// a sub-slice of the input (no copy). When decode fails, the value is
+// checked again from its start with Skip: a grammar error there is
+// returned as err; otherwise raw holds the value's bytes, valErr holds
+// decode's error, and the cursor is past the value, so a caller can record
+// the value's error and keep walking — the outcome of capturing the value
+// with Raw and decoding it on its own afterwards.
+func (d *Decoder) Value(decode func() error) (raw []byte, valErr, err error) {
+	d.ws()
+	start, depth := d.pos, d.depth
+	if valErr = decode(); valErr != nil {
+		d.pos, d.depth = start, depth
+		if err := d.Skip(); err != nil {
+			return nil, nil, err
+		}
+	}
+	return d.data[start:d.pos], valErr, nil
+}
+
 // object walks the members of the object at the cursor, calling member
 // with each key's token (escaped reports whether it needs unquoting);
 // member must consume the value.
@@ -431,6 +450,10 @@ func (d *Decoder) Float(v *float64) error {
 	if err != nil {
 		return err
 	}
+	if f, ok := exactFloat(tok); ok {
+		*v = f
+		return nil
+	}
 	// The token is only read by ParseFloat, so it is viewed in place; an
 	// error's copy of it is dropped below.
 	f, perr := strconv.ParseFloat(unsafe.String(&tok[0], len(tok)), 64)
@@ -439,6 +462,50 @@ func (d *Decoder) Float(v *float64) error {
 	}
 	*v = f
 	return nil
+}
+
+// exactPow10 are the powers of ten a float64 holds exactly.
+var exactPow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// exactFloat converts a checked number token without an exponent whose
+// digits, read as an integer, are below 2^53 and whose fraction has at
+// most 22 digits: both the integer and the power of ten are then exact
+// float64s, so their one correctly rounded quotient is the value
+// ParseFloat returns (Clinger's fast path). ok is false for any other
+// token.
+func exactFloat(tok []byte) (f float64, ok bool) {
+	neg := tok[0] == '-'
+	digits := tok
+	if neg {
+		digits = tok[1:]
+	}
+	var m uint64
+	scale := 0
+	frac := false
+	for _, c := range digits {
+		switch {
+		case c >= '0' && c <= '9':
+			if m = m*10 + uint64(c-'0'); m >= 1<<53 {
+				return 0, false
+			}
+			if frac {
+				scale++
+			}
+		case c == '.':
+			frac = true
+		default:
+			return 0, false
+		}
+	}
+	if scale >= len(exactPow10) {
+		return 0, false
+	}
+	f = float64(m) / exactPow10[scale]
+	if neg {
+		f = -f
+	}
+	return f, true
 }
 
 // String decodes a string into *v; null leaves *v unchanged.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -230,4 +231,68 @@ func TestAppendStringMatchesMarshal(t *testing.T) {
 			t.Errorf("%q: AppendString %q, json.Marshal %q", s, got[1:], want)
 		}
 	}
+}
+
+// checkFloat fails t unless Float decodes the number token tok to the bits
+// strconv.ParseFloat gives, or rejects it exactly when ParseFloat does.
+func checkFloat(t *testing.T, tok string) {
+	t.Helper()
+	want, werr := strconv.ParseFloat(tok, 64)
+	var got float64
+	gerr := NewDecoder([]byte(tok)).Float(&got)
+	if (gerr != nil) != (werr != nil) || math.Float64bits(got) != math.Float64bits(want) && werr == nil {
+		t.Fatalf("Float(%q) = %v (%x), %v; ParseFloat %v (%x), %v",
+			tok, got, math.Float64bits(got), gerr, want, math.Float64bits(want), werr)
+	}
+}
+
+// TestFloatMatchesParseFloat covers the exact fast path's boundaries (2^53
+// digits, 22 fraction digits, signed zeros) and random decimal tokens of
+// up to 25 digits, so tokens on both sides of every fast-path bound meet
+// ParseFloat.
+func TestFloatMatchesParseFloat(t *testing.T) {
+	for _, tok := range []string{
+		"0", "-0", "0.0", "-0.000", "1", "-1", "0.1", "0.001", "9007199254740991", "9007199254740992",
+		"9007199254740993", "900719925474099.1", "900719925474099.3", "0.9007199254740993",
+		"492.9756442291482", "1503.7475841770042", "1e5", "1E-5", "0.0000000000000000000001",
+		"0.00000000000000000000001", "1.0000000000000000000000", "123456789012345678901234567890",
+		"4503599627370497.5", "2.2250738585072014", "1.7976931348623157",
+	} {
+		checkFloat(t, tok)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200000; i++ {
+		digits := make([]byte, 1+rng.Intn(25))
+		for j := range digits {
+			digits[j] = byte('0' + rng.Intn(10))
+		}
+		if digits[0] == '0' && len(digits) > 1 {
+			digits[0] = byte('1' + rng.Intn(9))
+		}
+		tok := string(digits)
+		if dot := rng.Intn(len(digits) + 1); dot > 0 && dot < len(digits) {
+			tok = tok[:dot] + "." + tok[dot:]
+		} else if rng.Intn(2) == 0 {
+			tok = "0." + tok
+		}
+		if rng.Intn(2) == 0 {
+			tok = "-" + tok
+		}
+		checkFloat(t, tok)
+	}
+}
+
+// FuzzFloat checks Float against strconv.ParseFloat on arbitrary tokens
+// the JSON number grammar accepts.
+func FuzzFloat(f *testing.F) {
+	for _, seed := range []string{"0", "-0.5", "492.9756442291482", "9007199254740993", "1e300", "0.0000000000000000000001"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, tok string) {
+		d := NewDecoder([]byte(tok))
+		if _, err := d.number(); err != nil || d.pos != len(tok) || len(tok) == 0 {
+			return
+		}
+		checkFloat(t, tok)
+	})
 }

@@ -18,6 +18,13 @@ go -C perfbench vet ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+# The benchmark's own tests: TestSmoke runs every workload end to end and
+# fails on any failed operation or a missing metric, and
+# TestCorruptedOracleFails checks the harness's oracle catches an answer
+# one bit off.
+echo "==> go -C perfbench test ./..."
+go -C perfbench test ./...
+
 echo "==> fuzz smoke: FuzzGraphJSONRoundTrip (10s)"
 go test -run '^$' -fuzz '^FuzzGraphJSONRoundTrip$' -fuzztime 10s ./internal/graph
 
@@ -47,6 +54,9 @@ go test -run '^$' -fuzz '^FuzzBatchRequest$' -fuzztime 10s ./internal/serve
 
 echo "==> fuzz smoke: FuzzJobsRequest (10s)"
 go test -run '^$' -fuzz '^FuzzJobsRequest$' -fuzztime 10s ./internal/serve
+
+echo "==> fuzz smoke: FuzzFloat (10s)"
+go test -run '^$' -fuzz '^FuzzFloat$' -fuzztime 10s ./internal/wire
 
 echo "==> fuzz smoke: FuzzWireDecode (10s)"
 go test -run '^$' -fuzz '^FuzzWireDecode$' -fuzztime 10s ./internal/serve
