@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"roadside/internal/flow"
 	"roadside/internal/graph"
@@ -81,11 +80,7 @@ type FlowUpdate struct {
 func applyToFlows(g *graph.Graph, flows []flow.Flow, op FlowUpdate) ([]flow.Flow, error) {
 	switch op.Op {
 	case OpSetVolume:
-		if op.Flow < 0 || op.Flow >= len(flows) {
-			return nil, fmt.Errorf("%w: set_volume flow %d, have %d flows", ErrBadUpdate, op.Flow, len(flows))
-		}
-		f := flows[op.Flow]
-		nf, err := flow.New(f.ID, f.Path, op.Volume, f.Alpha)
+		nf, err := volumeFlow(flow.List(flows), op)
 		if err != nil {
 			return nil, err
 		}
@@ -110,6 +105,18 @@ func applyToFlows(g *graph.Graph, flows []flow.Flow, op FlowUpdate) ([]flow.Flow
 		return append(flows, nf), nil
 	}
 	return nil, fmt.Errorf("%w: unknown op %v", ErrBadUpdate, op.Op)
+}
+
+// volumeFlow validates a set_volume op against flows and returns the flow
+// it writes. A set_volume changes neither the flow count nor any path, ID
+// or alpha, so validating each op of a pure set_volume batch against the
+// unmodified list gives the verdict sequential application would.
+func volumeFlow(flows FlowList, op FlowUpdate) (flow.Flow, error) {
+	if op.Flow < 0 || op.Flow >= flows.Len() {
+		return flow.Flow{}, fmt.Errorf("%w: set_volume flow %d, have %d flows", ErrBadUpdate, op.Flow, flows.Len())
+	}
+	f := flows.At(op.Flow)
+	return flow.New(f.ID, f.Path, op.Volume, f.Alpha)
 }
 
 // ApplyToProblem returns a copy of p with ops applied to its flow set. It
@@ -141,16 +148,24 @@ func ApplyToProblem(p *Problem, ops []FlowUpdate) (*Problem, error) {
 // whose visit buckets changed (the inputs Warm.Refresh needs). The whole
 // batch is validated before any arena is touched, so on error the engine
 // is unchanged. Apply requires exclusive ownership of the engine for its
-// duration; concurrent readers must use ApplyCopy instead.
+// duration; concurrent readers must use ApplyCopy instead. The engine's
+// standalone gains are re-derived from the old ones on first use,
+// re-scoring only the touched candidates (see warm.go).
 func (e *Engine) Apply(ops []FlowUpdate) ([]graph.NodeID, error) {
-	return e.applyOps(ops, false)
+	touched, err := e.applyOps(ops, false)
+	if err != nil {
+		return nil, err
+	}
+	e.sa = e.sa.inherit(touched)
+	return touched, nil
 }
 
 // ApplyCopy is Apply for shared engines: it returns a derived engine with
 // ops applied while leaving the receiver fully intact for concurrent
 // readers. Untouched arrays are shared between the two engines (copy on
 // write at whole-array granularity), so a volume update on one shard
-// clones only that shard's gain array.
+// clones only that shard's gain array. The derived engine inherits the
+// receiver's standalone gains as Apply does.
 func (e *Engine) ApplyCopy(ops []FlowUpdate) (*Engine, []graph.NodeID, error) {
 	cp := *e
 	cp.shards = append([]arenaShard(nil), e.shards...)
@@ -158,6 +173,7 @@ func (e *Engine) ApplyCopy(ops []FlowUpdate) (*Engine, []graph.NodeID, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	cp.sa = e.sa.inherit(touched)
 	return &cp, touched, nil
 }
 
@@ -195,38 +211,29 @@ func (e *Engine) applyOps(ops []FlowUpdate, cow bool) ([]graph.NodeID, error) {
 		return nil, fmt.Errorf("%w: empty update batch", ErrBadUpdate)
 	}
 
-	// Validation pass: simulate the batch on copies so arena mutation below
-	// cannot fail halfway. Visit counts are tracked because OpAddFlow must
-	// respect the shard budget (a flow too large for any shard is the one
-	// add that construction itself would reject).
-	g := e.p.Graph
-	simFlows := e.p.Flows.Flows()
-	simCounts := e.flowCounts()
-	var err error
-	for i, op := range ops {
-		if simFlows, err = applyToFlows(g, simFlows, op); err != nil {
-			return nil, fmt.Errorf("core: update %d: %w", i, err)
-		}
-		switch op.Op {
-		case OpSetVolume:
-		case OpRemoveFlow:
-			simCounts = append(simCounts[:op.Flow], simCounts[op.Flow+1:]...)
-		case OpAddFlow:
-			nodes := sortedDistinct(append([]graph.NodeID(nil), op.Add.Path...))
-			if len(nodes) > e.maxShardVisits {
-				return nil, fmt.Errorf("core: update %d: %w: flow needs %d visit slots, shard budget %d",
-					i, ErrArenaOverflow, len(nodes), e.maxShardVisits)
-			}
-			simCounts = append(simCounts, len(nodes))
+	// A batch of pure volume ops leaves every path untouched, so the new
+	// flow set can share the old one's node-incidence index instead of
+	// rebuilding it — the dominant cost of a volume-drift Apply.
+	volumeOnly := true
+	for _, op := range ops {
+		if op.Op != OpSetVolume {
+			volumeOnly = false
+			break
 		}
 	}
+	if err := e.validateOps(ops, volumeOnly); err != nil {
+		return nil, err
+	}
 
+	// The mutation's flow list is the one copy the new set takes over.
 	m := &deltaMut{
 		e:       e,
 		flows:   e.p.Flows.Flows(),
-		counts:  e.flowCounts(),
 		touched: make([]bool, e.p.Graph.NumNodes()),
 		cow:     cow,
+	}
+	if !volumeOnly {
+		m.counts = e.flowCounts()
 	}
 	if cow {
 		m.gainOK = make([]bool, len(e.shards))
@@ -240,17 +247,10 @@ func (e *Engine) applyOps(ops []FlowUpdate, cow bool) ([]graph.NodeID, error) {
 		}
 	}
 
-	// A batch of pure volume ops leaves every path untouched, so the new
-	// flow set can share the old one's node-incidence index instead of
-	// rebuilding it — the dominant cost of a volume-drift Apply.
-	volumeOnly := true
-	for _, op := range ops {
-		if op.Op != OpSetVolume {
-			volumeOnly = false
-			break
-		}
-	}
-	var set *flow.Set
+	var (
+		set *flow.Set
+		err error
+	)
 	if volumeOnly {
 		set, err = flow.NewSetSharedIndex(e.p.Flows, m.flows)
 	} else {
@@ -264,8 +264,48 @@ func (e *Engine) applyOps(ops []FlowUpdate, cow bool) ([]graph.NodeID, error) {
 	e.p = &pc
 
 	out := m.touchedList
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out, nil
+}
+
+// validateOps checks the whole batch before anything mutates, so arena
+// mutation cannot fail halfway. A pure set_volume batch is checked op by
+// op against the current flows (see volumeFlow), with no copy. Any other
+// batch is simulated on copies of the flows and their visit counts; the
+// counts are tracked because OpAddFlow must respect the shard budget (a
+// flow too large for any shard is the one add that construction itself
+// would reject).
+func (e *Engine) validateOps(ops []FlowUpdate, volumeOnly bool) error {
+	if volumeOnly {
+		for i, op := range ops {
+			if _, err := volumeFlow(e.p.Flows, op); err != nil {
+				return fmt.Errorf("core: update %d: %w", i, err)
+			}
+		}
+		return nil
+	}
+	g := e.p.Graph
+	simFlows := e.p.Flows.Flows()
+	simCounts := e.flowCounts()
+	var err error
+	for i, op := range ops {
+		if simFlows, err = applyToFlows(g, simFlows, op); err != nil {
+			return fmt.Errorf("core: update %d: %w", i, err)
+		}
+		switch op.Op {
+		case OpSetVolume:
+		case OpRemoveFlow:
+			simCounts = append(simCounts[:op.Flow], simCounts[op.Flow+1:]...)
+		case OpAddFlow:
+			nodes := sortedDistinct(append([]graph.NodeID(nil), op.Add.Path...))
+			if len(nodes) > e.maxShardVisits {
+				return fmt.Errorf("core: update %d: %w: flow needs %d visit slots, shard budget %d",
+					i, ErrArenaOverflow, len(nodes), e.maxShardVisits)
+			}
+			simCounts = append(simCounts, len(nodes))
+		}
+	}
+	return nil
 }
 
 // flowCounts reads the per-flow visit counts back out of the shard offsets.
@@ -363,7 +403,7 @@ func (m *deltaMut) setVolume(f int, volume float64) error {
 		gain := u.Prob(sh.flowDetour[idx], nf.Alpha) * nf.Volume
 		b, be := sh.visitRange(v)
 		bucket := sh.visitFlow[b:be]
-		pos := sort.Search(len(bucket), func(x int) bool { return bucket[x] >= int32(f) })
+		pos, _ := slices.BinarySearch(bucket, int32(f))
 		gains[int(b)+pos] = gain
 	}
 	m.touch(sh.flowNode[lo:hi])

@@ -67,6 +67,13 @@ type Engine struct {
 	// partition of a mutated engine equal to a fresh build's.
 	toShops, fromShops []*graph.Tree
 	maxShardVisits     int
+
+	// sa is the standalone-gain vector every greedy starts from and ci the
+	// candidate position index re-scoring it needs (see warm.go). Budget
+	// and observer copies share both; updated engines share ci and inherit
+	// sa's values.
+	sa *standalone
+	ci *candIndex
 }
 
 // defaultWorkers is the worker count used by the exported entry points.

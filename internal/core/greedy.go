@@ -26,7 +26,10 @@ import (
 // have changed (see eagerScan). Argmaxes go to the highest gain, ties to
 // the lowest node ID. The step-0 scan fans across workers on large
 // instances and is bit-identical to a serial scan, so no result depends on
-// the worker count.
+// the worker count. Its pairs are every candidate's standalone gain, which
+// Algorithm 2 and GreedyCombined publish as the engine's vector (see
+// warm.go) unless a solver already has; GreedyLazy seeds its heap from
+// that vector instead of scanning.
 //
 // All four solvers share one termination contract: the step loop ends as
 // soon as the winning marginal gain drops to zero (or the candidate set is
@@ -220,12 +223,13 @@ func GreedyLazy(e *Engine) (*Placement, error) {
 	return greedyLazy(e, nil)
 }
 
-// greedyLazy is the shared body of GreedyLazy and GreedyLazyWarm. initGain
-// supplies each candidate's step-0 upper bound by position in e.cands; nil
-// means compute it from an empty state, which is exactly what a Warm cache
-// holds — the two paths push bit-identical bounds in identical order, so
-// the placements coincide bit for bit (greedy_test pins this).
-func greedyLazy(e *Engine, initGain func(i int) float64) (*Placement, error) {
+// greedyLazy is the shared body of GreedyLazy and GreedyLazyWarm. init
+// holds each candidate's step-0 upper bound, its standalone gain, by
+// position in e.cands; nil means the engine's own vector (see warm.go),
+// computed on first use. A current Warm holds the same values, so both
+// paths push bit-identical bounds in identical order and the placements
+// coincide bit for bit.
+func greedyLazy(e *Engine, init []float64) (*Placement, error) {
 	p := e.p
 	state := e.newDetourState()
 	result := &Placement{
@@ -276,15 +280,11 @@ func greedyLazy(e *Engine, initGain func(i int) float64) (*Placement, error) {
 	}
 	o := e.observer()
 	initStart := time.Now()
+	if init == nil {
+		init = e.standaloneGains()
+	}
 	for i, v := range e.cands {
-		var b float64
-		if initGain != nil {
-			b = initGain(i)
-		} else {
-			u, c := state.marginalGain(e, v)
-			b = u + c
-		}
-		if b > 0 {
+		if b := init[i]; b > 0 {
 			push(entry{node: v, bound: b, step: 0})
 		}
 	}

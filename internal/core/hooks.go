@@ -3,6 +3,7 @@ package core
 import (
 	"hash/fnv"
 	"math"
+	"slices"
 )
 
 // Determinism-audit hooks.
@@ -29,6 +30,14 @@ func NewEngineWorkers(p *Problem, workers int) (*Engine, error) {
 // the historical flat arenas — Fingerprint pins this).
 func NewEngineMaxShard(p *Problem, workers, maxShardVisits int) (*Engine, error) {
 	return buildEngine(p, workers, maxShardVisits)
+}
+
+// StandaloneGains returns a copy of the engine's standalone-gain vector by
+// candidate position (see warm.go), computing or deriving it first. The
+// delta audit compares the vector an updated engine derives from its
+// parent with a fresh build's scan.
+func (e *Engine) StandaloneGains() []float64 {
+	return slices.Clone(e.standaloneGains())
 }
 
 // Fingerprint digests the engine's CSR arenas (offsets, flow indices,

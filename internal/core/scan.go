@@ -110,11 +110,12 @@ const scanBlock = 256
 //
 // The cache is keyed by position in e.cands, not by node: Problem.Candidates
 // may repeat a node, so a parallel scan keyed by node would race. The
-// first/next chains list every position of a node, and a re-scored node is
-// evaluated once and written to all of them.
+// engine's candidate index (see warm.go) lists every position of a node,
+// and a re-scored node is evaluated once and written to all of them.
 type eagerScan struct {
 	e      *Engine
 	st     stepState
+	offer  bool // st is the paper's detourState: step 0 yields the standalone gains
 	set    placedSet
 	last   graph.NodeID // the node placed since the last scan; Invalid before the first
 	placed int          // nodes placed so far
@@ -122,8 +123,6 @@ type eagerScan struct {
 	u, c   []float64  // each position's pair as of its last evaluation
 	blocks []scanBest // per-block argmaxes over the unplaced positions
 
-	first  []int32 // first position of node candLo+i, -1 for a non-candidate
-	next   []int32 // next position holding the same node, -1 at the last
 	marked []int32 // the placed count when node candLo+i was last marked dirty
 	dirty  []graph.NodeID
 	// touchedAt is the placed count when each block was last queued for a
@@ -138,19 +137,11 @@ func (e *Engine) newEagerScan(st stepState) *eagerScan {
 		e: e, st: st, set: e.newPlacedSet(), last: graph.Invalid,
 		u: make([]float64, n), c: make([]float64, n),
 		blocks:    make([]scanBest, (n+scanBlock-1)/scanBlock),
-		first:     make([]int32, e.candSpan),
-		next:      make([]int32, n),
 		marked:    make([]int32, e.candSpan),
 		touchedAt: make([]int32, (n+scanBlock-1)/scanBlock),
 	}
-	for i := range s.first {
-		s.first[i] = -1
-	}
-	for p := n - 1; p >= 0; p-- {
-		i := e.cands[p] - e.candLo
-		s.next[p] = s.first[i]
-		s.first[i] = int32(p)
-	}
+	_, s.offer = st.(*detourState)
+	e.ci.build(e)
 	return s
 }
 
@@ -184,20 +175,36 @@ func (s *eagerScan) scan(workers int) (scanBest, scanStats) {
 // the result is bit-identical to the serial scan. marginalGain must be a
 // pure read of the step state — scans never overlap with state mutation.
 func (s *eagerScan) full(workers int) (scanBest, scanStats) {
-	nb, n := len(s.blocks), len(s.e.cands)
-	if workers <= 1 || n < minParallelScan {
-		return s.scanBlocks(0, nb), scanStats{evaluated: n, chunks: 1}
-	}
-	chunks := par.Chunks(nb, workers)
-	partial := make([]scanBest, len(chunks))
-	par.Do(len(chunks), workers, func(ci int) {
-		partial[ci] = s.scanBlocks(chunks[ci][0], chunks[ci][1])
+	n := len(s.e.cands)
+	partial := make([]scanBest, max(1, min(len(s.blocks), workers)))
+	chunks := fanBlocks(n, workers, func(ci, b0, b1 int) {
+		partial[ci] = s.scanBlocks(b0, b1)
 	})
 	best := newScanBest()
-	for _, p := range partial {
+	for _, p := range partial[:chunks] {
 		best.merge(p)
 	}
-	return best, scanStats{evaluated: n, chunks: len(chunks)}
+	if s.offer {
+		s.e.offerStandalone(s.u, s.c)
+	}
+	return best, scanStats{evaluated: n, chunks: chunks}
+}
+
+// fanBlocks runs fn over the scanBlock blocks of n candidate positions in
+// contiguous runs, one per worker, and returns the run count. Below
+// minParallelScan positions, or with one worker, it makes a single inline
+// call. fn gets the run index and its block range [b0, b1).
+func fanBlocks(n, workers int, fn func(ci, b0, b1 int)) int {
+	nb := (n + scanBlock - 1) / scanBlock
+	if workers <= 1 || n < minParallelScan {
+		fn(0, 0, nb)
+		return 1
+	}
+	chunks := par.Chunks(nb, workers)
+	par.Do(len(chunks), workers, func(ci int) {
+		fn(ci, chunks[ci][0], chunks[ci][1])
+	})
+	return len(chunks)
 }
 
 // scanBlocks evaluates the candidates of blocks [b0, b1), caching their
@@ -251,7 +258,7 @@ func (s *eagerScan) rescore() int {
 			u, c = s.st.marginalGain(e, v)
 			evaluated++
 		}
-		for p := s.first[v-e.candLo]; p >= 0; p = s.next[p] {
+		for p := e.ci.firstPos(e, v); p >= 0; p = e.ci.nextPos(p) {
 			s.u[p], s.c[p] = u, c
 			if b := int(p) / scanBlock; s.touchedAt[b] != stamp {
 				s.touchedAt[b] = stamp
@@ -276,7 +283,7 @@ func (s *eagerScan) rescore() int {
 // are ignored.
 func (s *eagerScan) mark(v graph.NodeID, stamp int32) {
 	i := int(v - s.e.candLo)
-	if i < 0 || i >= len(s.first) || s.first[i] < 0 || s.marked[i] == stamp {
+	if s.e.ci.firstPos(s.e, v) < 0 || s.marked[i] == stamp {
 		return
 	}
 	s.marked[i] = stamp

@@ -250,6 +250,8 @@ func buildEngine(p *Problem, workers, maxShardVisits int) (*Engine, error) {
 		toShops:        toShops,
 		fromShops:      fromShops,
 		maxShardVisits: maxShardVisits,
+		sa:             &standalone{},
+		ci:             &candIndex{ident: len(p.Candidates) == 0},
 	}
 	if len(e.cands) > 0 {
 		lo, hi := e.cands[0], e.cands[0]

@@ -154,8 +154,9 @@ func NewSet(flows []Flow) (*Set, error) {
 // only scalar fields (volume, alpha, ID) may differ. It is the
 // volume-drift fast path of the engine delta layer: O(flows) validation
 // with no per-node map work. Path equality is spot-checked (count, length,
-// endpoints); full equality is the caller's contract. Flows are copied;
-// the index is shared, which is safe because sets are immutable.
+// endpoints); full equality is the caller's contract. The set takes
+// ownership of flows, which the caller must not modify afterwards; the
+// index is shared, which is safe because sets are immutable.
 func NewSetSharedIndex(base *Set, flows []Flow) (*Set, error) {
 	if len(flows) != len(base.flows) {
 		return nil, fmt.Errorf("%w: shared-index set has %d flows, base %d",
@@ -173,10 +174,7 @@ func NewSetSharedIndex(base *Set, flows []Flow) (*Set, error) {
 			return nil, fmt.Errorf("%w: flow %d: %v", ErrBadAlpha, i, f.Alpha)
 		}
 	}
-	return &Set{
-		flows:  append([]Flow(nil), flows...),
-		byNode: base.byNode,
-	}, nil
+	return &Set{flows: flows, byNode: base.byNode}, nil
 }
 
 // Len returns the number of flows.

@@ -48,7 +48,7 @@ func (g *Graph) dijkstra(root NodeID, reverse bool) ([]float64, []NodeID) {
 		parent[i] = Invalid
 	}
 	dist[root] = 0
-	h := newDistHeap(n)
+	h := newDistHeap(64)
 	h.push(root, 0)
 	for h.len() > 0 {
 		u, d := h.pop()
@@ -82,7 +82,7 @@ func (g *Graph) dijkstraDist(root NodeID, reverse bool) []float64 {
 		dist[i] = math.Inf(1)
 	}
 	dist[root] = 0
-	h := newDistHeap(n)
+	h := newDistHeap(64)
 	h.push(root, 0)
 	for h.len() > 0 {
 		u, d := h.pop()

@@ -413,10 +413,11 @@ func deltaBuild(inst *Instance, p *core.Problem) (*core.Engine, error) {
 }
 
 // deltaOutcome is solvedOutcome at Solve's default worker count plus the
-// post-update lazy placement, e's flow count and its prefix objectives over
+// post-update lazy placement, e's flow count, its prefix objectives over
 // a seed-sampled placement (flow updates leave candidates alone, so the
-// sample is valid on every side).
-func deltaOutcome(inst *Instance, e *core.Engine, lazy *core.Placement) (*outcome, error) {
+// sample is valid on every side) and its standalone gains, taken before
+// any solve could compute them afresh.
+func deltaOutcome(inst *Instance, e *core.Engine, lazy *core.Placement, gains []float64) (*outcome, error) {
 	out, err := solvedOutcome(e, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, err
@@ -424,6 +425,7 @@ func deltaOutcome(inst *Instance, e *core.Engine, lazy *core.Placement) (*outcom
 	out.placements = append(out.placements, lazy)
 	out.values = append([]float64{float64(e.Problem().Flows.Len())},
 		e.EvaluatePrefixes(samplePlacement(inst, 42, 6))...)
+	out.values = append(out.values, gains...)
 	return out, nil
 }
 
@@ -441,17 +443,19 @@ func deltaFresh(inst *Instance) (*outcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	gains := fresh.StandaloneGains()
 	lazy, err := core.GreedyLazy(fresh)
 	if err != nil {
 		return nil, err
 	}
-	return deltaOutcome(inst, fresh, lazy)
+	return deltaOutcome(inst, fresh, lazy, gains)
 }
 
 // deltaApplied updates a private engine (inst.Engine() is shared across
-// checks) in place or by copy, whose receiver must stay untouched. A Warm
-// cache carried across the update and refreshed with the touched set seeds
-// GreedyLazyWarm for the lazy slot.
+// checks) in place or by copy, whose receiver must stay untouched. The
+// updated engine's standalone gains are derived from the base engine's,
+// which NewWarm computes; the Warm copy, refreshed with the touched set,
+// seeds GreedyLazyWarm for the lazy slot.
 func deltaApplied(copyOnWrite bool) func(*Instance) (*outcome, error) {
 	return func(inst *Instance) (*outcome, error) {
 		ops, err := deltaOps(inst)
@@ -484,11 +488,12 @@ func deltaApplied(copyOnWrite bool) func(*Instance) (*outcome, error) {
 				return nil, fmt.Errorf("touched nodes not sorted-distinct at %d: %v", i, touched)
 			}
 		}
+		gains := e.StandaloneGains()
 		warm.Refresh(e, touched)
 		lazy, err := core.GreedyLazyWarm(e, warm)
 		if err != nil {
 			return nil, fmt.Errorf("warm lazy: %w", err)
 		}
-		return deltaOutcome(inst, e, lazy)
+		return deltaOutcome(inst, e, lazy, gains)
 	}
 }

@@ -117,7 +117,7 @@ func decodeBatchRequest(body []byte, maxItems int) (*BatchRequest, *problem, *AP
 // WithBudget + solver-dispatch path a single /v1/place request takes, so
 // the batch-identity invariant (batch ≡ sequential places, bit-for-bit)
 // holds by construction.
-func solveBatchItem(eng *core.Engine, warm *core.Warm, item BatchItem, idx int) BatchItemResult {
+func solveBatchItem(eng *core.Engine, item BatchItem, idx int) BatchItemResult {
 	res := BatchItemResult{Index: idx, K: item.K, Algo: item.Algo}
 	if res.Algo == "" {
 		res.Algo = "algorithm2"
@@ -136,7 +136,7 @@ func solveBatchItem(eng *core.Engine, warm *core.Warm, item BatchItem, idx int) 
 		res.Error = errorf(http.StatusUnprocessableEntity, CodeBadBudget, "%v", err)
 		return res
 	}
-	pl, err := solve(solver, budgeted, warm)
+	pl, err := solver.Solve(budgeted)
 	if err != nil {
 		res.Error = errorf(http.StatusInternalServerError, CodeInternal, "solve: %v", err)
 		return res
@@ -168,12 +168,11 @@ func (s *Server) runBatch(ctx context.Context, req *BatchRequest, p *problem) (a
 	var (
 		apiErr          *APIError
 		eng             *core.Engine
-		warm            *core.Warm
 		digest, outcome string
 		release         func()
 	)
 	if req.Digest != "" {
-		eng, warm, digest, release, apiErr = s.engineByRef(ctx, req.Digest)
+		eng, digest, release, apiErr = s.engineByRef(ctx, req.Digest)
 		outcome = CacheHit
 	} else {
 		eng, digest, outcome, release, apiErr = s.engineFor(ctx, p)
@@ -185,7 +184,7 @@ func (s *Server) runBatch(ctx context.Context, req *BatchRequest, p *problem) (a
 
 	items := make([]BatchItemResult, len(req.Items))
 	par.Do(len(req.Items), runtime.GOMAXPROCS(0), func(i int) {
-		items[i] = solveBatchItem(eng, warm, req.Items[i], i)
+		items[i] = solveBatchItem(eng, req.Items[i], i)
 	})
 	failed := 0
 	for i := range items {

@@ -179,8 +179,8 @@ func TestBatchByDigestSharesLineage(t *testing.T) {
 }
 
 // TestBatchLazyWarmMatchesCold guards the warm-start fast path: the lazy
-// algorithm served through a batch (which may use the lineage's Warm
-// state) must stay bit-identical to a cold single-threaded GreedyLazy.
+// algorithm served through a batch (which reads the engine's standalone
+// gains, computed by the earlier place) must stay bit-identical to a cold single-threaded GreedyLazy.
 func TestBatchLazyWarmMatchesCold(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	p := testutil.Fig4Problem(t, utility.Linear{D: 10})

@@ -69,7 +69,6 @@ type cacheEntry struct {
 	base   string // lineage root (== ProblemDigest of the original problem)
 	seq    int
 	eng    *core.Engine
-	warm   *core.Warm // lazy: built by the first update, carried forward after
 	bytes  int64
 
 	mu sync.Mutex
@@ -178,11 +177,11 @@ func (c *engineCache) Get(ctx context.Context, digest string, build func() (*cor
 // is a 404 and a sequence mismatch a 409, so a client racing an updater
 // observes the old engine, the new engine, or a stale error, never a
 // blend.
-func (c *engineCache) Resolve(ref string) (*core.Engine, *core.Warm, string, *APIError) {
+func (c *engineCache) Resolve(ref string) (*core.Engine, string, *APIError) {
 	base, wantSeq, err := core.SplitDigest(ref)
 	if err != nil {
 		c.unresolved.Inc()
-		return nil, nil, "", errorf(http.StatusNotFound, CodeUnknownDigest, "digest ref %q: %v", ref, err)
+		return nil, "", errorf(http.StatusNotFound, CodeUnknownDigest, "digest ref %q: %v", ref, err)
 	}
 	pinned := strings.IndexByte(ref, '@') >= 0
 
@@ -191,21 +190,21 @@ func (c *engineCache) Resolve(ref string) (*core.Engine, *core.Warm, string, *AP
 	if !ok {
 		c.mu.Unlock()
 		c.unresolved.Inc()
-		return nil, nil, "", errorf(http.StatusNotFound, CodeUnknownDigest,
+		return nil, "", errorf(http.StatusNotFound, CodeUnknownDigest,
 			"no cached engine for digest %q; send the full problem once to create it", ref)
 	}
 	ent := el.Value.(*cacheEntry)
 	if pinned && ent.seq != wantSeq {
 		c.mu.Unlock()
 		c.staleRefs.Inc()
-		return nil, nil, "", errorf(http.StatusConflict, CodeStaleDigest,
+		return nil, "", errorf(http.StatusConflict, CodeStaleDigest,
 			"digest %q is stale: lineage %s is at sequence %d", ref, base, ent.seq)
 	}
 	c.lru.MoveToFront(el)
-	eng, warm, digest := ent.eng, ent.warm, ent.digest
+	eng, digest := ent.eng, ent.digest
 	c.mu.Unlock()
 	c.hits.Inc()
-	return eng, warm, digest, nil
+	return eng, digest, nil
 }
 
 // Update applies ops to the current engine of ref's lineage and publishes
@@ -216,9 +215,8 @@ func (c *engineCache) Resolve(ref string) (*core.Engine, *core.Warm, string, *AP
 //
 // The engine evolves by ApplyCopy — the superseded engine is untouched, so
 // solves that already resolved it finish on consistent arenas — and the
-// entry's Warm cache rides along: built on the lineage's first update,
-// then Refresh'ed with each update's touched nodes, so by-reference lazy
-// solves skip their init scan. Per-lineage serialization comes from the
+// new engine inherits its standalone gains, so by-reference lazy solves
+// skip their init scan. Per-lineage serialization comes from the
 // entry mutex: an updater holds it from resolve to publish, and a loser of
 // that race re-resolves (or fails its pin) rather than deriving two
 // engines from one sequence.
@@ -270,13 +268,6 @@ func (c *engineCache) Update(ref string, ops []core.FlowUpdate) (*cacheEntry, []
 	if err != nil {
 		return nil, nil, errorf(http.StatusUnprocessableEntity, CodeBadUpdate, "%v", err)
 	}
-	warm := ent.warm
-	if warm == nil {
-		warm = eng.NewWarm()
-	} else {
-		warm = warm.Clone()
-		warm.Refresh(eng, touched)
-	}
 	c.updateUS.Observe(float64(time.Since(start).Microseconds()))
 
 	next := &cacheEntry{
@@ -284,7 +275,6 @@ func (c *engineCache) Update(ref string, ops []core.FlowUpdate) (*cacheEntry, []
 		base:   base,
 		seq:    ent.seq + 1,
 		eng:    eng,
-		warm:   warm,
 		bytes:  eng.ArenaBytes(),
 	}
 	c.mu.Lock()

@@ -580,17 +580,6 @@ func solverFor(algo string) (core.Solver, *APIError) {
 	return s, nil
 }
 
-// solve runs s on e. A lineage that has been updated carries a Warm cache
-// current for its engine; the lazy solver seeded from it returns the
-// bit-identical placement while skipping the full init scan (budgets share
-// arenas, and the cached bounds do not depend on K).
-func solve(s core.Solver, e *core.Engine, warm *core.Warm) (*core.Placement, error) {
-	if s.Name == "lazy" {
-		return core.GreedyLazyWarm(e, warm)
-	}
-	return s.Solve(e)
-}
-
 // writeJSON writes v as the response body. Encoding failures at this point
 // cannot be reported to the client (the status line is gone), so they are
 // swallowed after a best-effort write; response types contain no

@@ -15,7 +15,8 @@ import (
 // FuzzServeRequest feeds arbitrary bytes through every endpoint decoder and
 // the full /v1/place handler: decoders must never panic, must return a
 // well-formed APIError (4xx/5xx with a stable code) on rejection, and must
-// only accept bodies that decode to a validated problem. The checked-in
+// only accept bodies that carry a digest reference (and then decode no
+// problem) or decode to a validated problem. The checked-in
 // corpus under testdata/fuzz/FuzzServeRequest seeds the interesting shapes;
 // verify.sh runs this target in its fuzz smoke.
 func FuzzServeRequest(f *testing.F) {
@@ -37,20 +38,31 @@ func FuzzServeRequest(f *testing.F) {
 				t.Errorf("%s: empty error code", what)
 			}
 		}
+		// An accepted body either references a cached engine by digest,
+		// and then decodes no problem, or carries a valid problem.
+		checkAccepted := func(what, digest string, p *problem) {
+			t.Helper()
+			switch {
+			case digest != "" && p != nil:
+				t.Errorf("%s: by-reference body also decoded a problem", what)
+			case digest == "" && (p == nil || p.Validate() != nil):
+				t.Errorf("%s: accepted body decoded to an invalid problem", what)
+			}
+		}
 		if req, p, apiErr := decodePlaceRequest(body); apiErr != nil {
 			checkErr("place", apiErr)
-		} else if req == nil || p == nil || p.Validate() != nil {
-			t.Error("place: accepted body decoded to an invalid problem")
+		} else {
+			checkAccepted("place", req.Digest, p)
 		}
 		if req, p, apiErr := decodeEvaluateRequest(body); apiErr != nil {
 			checkErr("evaluate", apiErr)
-		} else if req == nil || p == nil || p.Validate() != nil {
-			t.Error("evaluate: accepted body decoded to an invalid problem")
+		} else {
+			checkAccepted("evaluate", req.Digest, p)
 		}
 		if req, p, apiErr := decodeDetourRequest(body); apiErr != nil {
 			checkErr("detour", apiErr)
-		} else if req == nil || p == nil || p.Validate() != nil {
-			t.Error("detour: accepted body decoded to an invalid problem")
+		} else {
+			checkAccepted("detour", req.Digest, p)
 		}
 
 		// End-to-end through the handler: whatever the body, the response
@@ -195,6 +207,8 @@ func serveSeeds(tb testing.TB) [][]byte {
 	}
 	seeds = append(seeds, evalBody)
 	seeds = append(seeds, []byte(`{"k":1}`))
+	// By reference: accepted without decoding a problem.
+	seeds = append(seeds, []byte(`{"digest":"rapd2-00","k":1}`))
 	seeds = append(seeds, valid[:len(valid)/2]) // truncated mid-structure
 	seeds = append(seeds, []byte(`null`))
 	seeds = append(seeds, []byte(`{"graph":{"version":"bogus"},"flows":[],"k":-1}`))

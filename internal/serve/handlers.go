@@ -143,25 +143,25 @@ func (s *Server) engineFor(ctx context.Context, p *problem) (eng *core.Engine, d
 	return eng, digest, outcome, s.gate.Release, nil
 }
 
-// engineByRef resolves a digest reference to a cached engine (and its
-// lineage's Warm cache, when one exists) under the concurrency gate. Like
-// engineFor, release covers the solve that follows and is nil on error.
-func (s *Server) engineByRef(ctx context.Context, ref string) (eng *core.Engine, warm *core.Warm, digest string, release func(), apiErr *APIError) {
+// engineByRef resolves a digest reference to a cached engine under the
+// concurrency gate. Like engineFor, release covers the solve that follows
+// and is nil on error.
+func (s *Server) engineByRef(ctx context.Context, ref string) (eng *core.Engine, digest string, release func(), apiErr *APIError) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, "", nil, ctxError(err)
+		return nil, "", nil, ctxError(err)
 	}
 	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
-		return nil, nil, "", nil, ctxError(context.DeadlineExceeded)
+		return nil, "", nil, ctxError(context.DeadlineExceeded)
 	}
 	if err := s.gate.Acquire(ctx); err != nil {
-		return nil, nil, "", nil, ctxError(err)
+		return nil, "", nil, ctxError(err)
 	}
-	eng, warm, digest, apiErr = s.cache.Resolve(ref)
+	eng, digest, apiErr = s.cache.Resolve(ref)
 	if apiErr != nil {
 		s.gate.Release()
-		return nil, nil, "", nil, apiErr
+		return nil, "", nil, apiErr
 	}
-	return eng, warm, digest, s.gate.Release, nil
+	return eng, digest, s.gate.Release, nil
 }
 
 func (s *Server) handlePlace(r *http.Request, body []byte) (any, *APIError) {
@@ -181,13 +181,12 @@ func (s *Server) handlePlace(r *http.Request, body []byte) (any, *APIError) {
 func (s *Server) runPlace(ctx context.Context, req *PlaceRequest, p *problem) (any, *APIError) {
 	var (
 		eng             *core.Engine
-		warm            *core.Warm
 		digest, outcome string
 		release         func()
 		apiErr          *APIError
 	)
 	if req.Digest != "" {
-		eng, warm, digest, release, apiErr = s.engineByRef(ctx, req.Digest)
+		eng, digest, release, apiErr = s.engineByRef(ctx, req.Digest)
 		outcome = CacheHit
 	} else {
 		eng, digest, outcome, release, apiErr = s.engineFor(ctx, p)
@@ -201,7 +200,7 @@ func (s *Server) runPlace(ctx context.Context, req *PlaceRequest, p *problem) (a
 		return nil, errorf(http.StatusUnprocessableEntity, CodeBadBudget, "%v", err)
 	}
 	solver, _ := core.LookupSolver(req.Algo) // validated by decodePlaceRequest
-	pl, err := solve(solver, budgeted, warm)
+	pl, err := solver.Solve(budgeted)
 	if err != nil {
 		return nil, errorf(http.StatusInternalServerError, CodeInternal, "solve: %v", err)
 	}
@@ -230,7 +229,7 @@ func (s *Server) handleEvaluate(r *http.Request, body []byte) (any, *APIError) {
 		release         func()
 	)
 	if req.Digest != "" {
-		eng, _, digest, release, apiErr = s.engineByRef(ctx, req.Digest)
+		eng, digest, release, apiErr = s.engineByRef(ctx, req.Digest)
 		outcome = CacheHit
 		if apiErr == nil {
 			if vErr := validNodes(eng.Problem().Graph, req.Placement, CodeBadPlacement, "placement"); vErr != nil {
@@ -279,7 +278,7 @@ func (s *Server) handleDetour(r *http.Request, body []byte) (any, *APIError) {
 		release         func()
 	)
 	if req.Digest != "" {
-		eng, _, digest, release, apiErr = s.engineByRef(ctx, req.Digest)
+		eng, digest, release, apiErr = s.engineByRef(ctx, req.Digest)
 		outcome = CacheHit
 		if apiErr == nil {
 			if vErr := validNodes(eng.Problem().Graph, req.Nodes, CodeBadNodes, "queried"); vErr != nil {

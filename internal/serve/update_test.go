@@ -112,7 +112,7 @@ func TestUpdateLifecycle(t *testing.T) {
 
 	// By-reference place: the bare base and the pinned digest both resolve
 	// to sequence 1 and answer bit-identically to the fresh oracle. The
-	// lazy path exercises the lineage's Warm cache.
+	// lazy path reads the standalone gains the update inherited.
 	for _, ref := range []string{base, base + "@1"} {
 		status, data = postJSON(t, ts.URL+"/v1/place",
 			mustMarshal(t, PlaceRequest{Digest: ref, K: 2, Algo: "lazy"}))

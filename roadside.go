@@ -196,12 +196,15 @@ func ApplyToProblem(p *Problem, ops []FlowUpdate) (*Problem, error) {
 	return core.ApplyToProblem(p, ops)
 }
 
-// Warm carries reusable lazy-greedy state across deltas; see
-// Engine.NewWarm, Warm.Refresh, and GreedyLazyWarm.
+// Warm is an owned copy of an engine's standalone gains, the lazy
+// greedy's initial bounds; see Engine.NewWarm, Warm.Refresh, and
+// GreedyLazyWarm. Engines keep and inherit these gains across updates
+// themselves, so GreedyLazy on an updated engine needs no Warm; a Warm is
+// for callers that carry the bounds across updates on their own.
 type Warm = core.Warm
 
-// GreedyLazyWarm is GreedyLazy seeded from warm-start state, bit-identical
-// to the cold solver.
+// GreedyLazyWarm is GreedyLazy seeded from a Warm instead of the engine's
+// own gains, bit-identical to GreedyLazy.
 func GreedyLazyWarm(e *Engine, w *Warm) (*Placement, error) { return core.GreedyLazyWarm(e, w) }
 
 // DeriveDigest names revision seq of the lineage rooted at base

@@ -46,6 +46,9 @@ go test -run '^$' -fuzz '^FuzzCholeskyInverseDiag$' -fuzztime 10s ./internal/sta
 echo "==> fuzz smoke: FuzzEagerIncremental (10s)"
 go test -run '^$' -fuzz '^FuzzEagerIncremental$' -fuzztime 10s ./internal/core
 
+echo "==> fuzz smoke: FuzzStandaloneGains (10s)"
+go test -run '^$' -fuzz '^FuzzStandaloneGains$' -fuzztime 10s ./internal/core
+
 echo "==> fuzz smoke: FuzzServeRequest (10s)"
 go test -run '^$' -fuzz '^FuzzServeRequest$' -fuzztime 10s ./internal/serve
 
