@@ -284,8 +284,8 @@ func (e *Engine) StandaloneGain(v graph.NodeID) float64 {
 	for si := range e.shards {
 		sh := &e.shards[si]
 		lo, hi := sh.visitRange(v)
-		for i := lo; i < hi; i++ {
-			total += sh.visitGain[i]
+		for _, g := range sh.gainsAt(v, lo, hi) {
+			total += g
 		}
 	}
 	return total
@@ -333,8 +333,8 @@ func (s *detourState) place(e *Engine, v graph.NodeID) {
 	for si := range e.shards {
 		sh := &e.shards[si]
 		lo, hi := sh.visitRange(v)
+		gains := sh.gainsAt(v, lo, hi)
 		flows := sh.visitFlow[lo:hi]
-		gains := sh.visitGain[lo:hi]
 		switch e.comp {
 		case compIndependent:
 			rems := sh.visitRem[lo:hi]
@@ -385,16 +385,16 @@ func (s *detourState) marginalGain(e *Engine, v graph.NodeID) (uncovered, covere
 	for si := range e.shards {
 		sh := &e.shards[si]
 		lo, hi := sh.visitRange(v)
+		gains := sh.gainsAt(v, lo, hi)
 		// Narrow the arenas to this node's bucket so the loop indexes small
 		// equal-length slices; the node's visits are the hottest data in
 		// every greedy scan. Shard order is flow order, so the accumulation
 		// order matches the old flat arena bit for bit.
 		flows := sh.visitFlow[lo:hi]
-		gains := sh.visitGain[lo:hi]
 		switch e.comp {
 		case compIndependent:
 			// The flow's marginal value is survival * q * Volume, which is
-			// exactly survival * visitGain. Untouched flows (no banked
+			// exactly survival * the visit gain. Untouched flows (no banked
 			// value yet) feed Algorithm 2's uncovered candidate.
 			for i, f := range flows {
 				delta := cur[f] * gains[i]

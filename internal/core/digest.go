@@ -230,7 +230,9 @@ func (e *Engine) WithBudget(k int) (*Engine, error) {
 // ArenaBytes estimates the memory retained by the engine's CSR arenas and
 // candidate list in bytes. It is the size the query server's engine cache
 // budgets by; the estimate ignores the Problem the engine references
-// (typically shared with the caller) and slice headers.
+// (typically shared with the caller) and slice headers. An ApplyCopy
+// child counts one gain per visit, like any engine, although outside the
+// pages it cloned it reads its parent's: see DESIGN.md §3.24.
 func (e *Engine) ArenaBytes() int64 {
 	const (
 		i32Size  = 4 // int32 offsets and flow indices

@@ -60,9 +60,10 @@ func (s *coverState) marginalGain(e *Engine, v graph.NodeID) (u, c float64) {
 	for si := range e.shards {
 		sh := &e.shards[si]
 		lo, hi := sh.visitRange(v)
-		for i := lo; i < hi; i++ {
-			if !s.covered[sh.visitFlow[i]] {
-				u += sh.visitGain[i]
+		gains := sh.gainsAt(v, lo, hi)
+		for i, f := range sh.visitFlow[lo:hi] {
+			if !s.covered[f] {
+				u += gains[i]
 			}
 		}
 	}
@@ -73,9 +74,10 @@ func (s *coverState) place(e *Engine, v graph.NodeID) {
 	for si := range e.shards {
 		sh := &e.shards[si]
 		lo, hi := sh.visitRange(v)
-		for i := lo; i < hi; i++ {
-			if sh.visitGain[i] > 0 {
-				s.covered[sh.visitFlow[i]] = true
+		gains := sh.gainsAt(v, lo, hi)
+		for i, f := range sh.visitFlow[lo:hi] {
+			if gains[i] > 0 {
+				s.covered[f] = true
 			}
 		}
 	}

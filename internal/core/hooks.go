@@ -66,8 +66,10 @@ func (e *Engine) Fingerprint() uint64 {
 		for _, d := range sh.visitDetour {
 			w64(math.Float64bits(d))
 		}
-		for _, g := range sh.visitGain {
-			w64(math.Float64bits(g))
+		for p := range sh.numGainPages() {
+			for _, g := range sh.gainPage(p) {
+				w64(math.Float64bits(g))
+			}
 		}
 		for _, r := range sh.visitRem {
 			w64(math.Float64bits(r))

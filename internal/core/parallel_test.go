@@ -40,6 +40,16 @@ func TestNewEngineParallelBitIdentical(t *testing.T) {
 	}
 }
 
+// shardGains reads a shard's gains out page by page, cloned pages
+// included, in visit order.
+func shardGains(sh *arenaShard) []float64 {
+	out := []float64{}
+	for p := range sh.numGainPages() {
+		out = append(out, sh.gainPage(p)...)
+	}
+	return out
+}
+
 func assertEnginesEqual(t *testing.T, a, b *Engine, nodes, workers int) {
 	t.Helper()
 	if len(a.shards) != len(b.shards) {
@@ -58,7 +68,7 @@ func assertEnginesEqual(t *testing.T, a, b *Engine, nodes, workers int) {
 			{"visitOff", x.visitOff, y.visitOff},
 			{"visitFlow", x.visitFlow, y.visitFlow},
 			{"visitDetour", x.visitDetour, y.visitDetour},
-			{"visitGain", x.visitGain, y.visitGain},
+			{"gains", shardGains(x), shardGains(y)},
 			{"flowOff", x.flowOff, y.flowOff},
 			{"flowNode", x.flowNode, y.flowNode},
 			{"flowDetour", x.flowDetour, y.flowDetour},

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -167,6 +168,50 @@ func TestCacheLRUEvictsOldestFirst(t *testing.T) {
 	}
 	if buildCalls.Load() != 4 {
 		t.Fatalf("buildCalls = %d, want 4 (a, b, c, b again)", buildCalls.Load())
+	}
+}
+
+// TestCacheUpdateChargesChildInFull pins the lineage accounting that
+// copy-on-write by page relies on: Update drops the superseded entry, so
+// the gain pages a child shares with its parent belong to no other cached
+// engine, and the child is charged its full ArenaBytes — the cache holds
+// one entry whose charge is exactly the child's arena.
+func TestCacheUpdateChargesChildInFull(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := newEngineCache(1<<30, reg)
+	p := testutil.RandomProblem(t, rand.New(rand.NewSource(5)), 300, 40, 4, utility.Linear{D: 60})
+	eng, err := core.NewEngine(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Get(context.Background(), "base", func() (*core.Engine, error) { return eng, nil }); err != nil {
+		t.Fatal(err)
+	}
+	prev := "base"
+	for seq := 1; seq <= 3; seq++ {
+		ops := []core.FlowUpdate{{Op: core.OpSetVolume, Flow: seq, Volume: float64(10 * seq)}}
+		if seq == 3 {
+			ops = append(ops, core.FlowUpdate{Op: core.OpRemoveFlow, Flow: 0})
+		}
+		next, _, apiErr := c.Update("base", ops)
+		if apiErr != nil {
+			t.Fatalf("update %d: %v", seq, apiErr)
+		}
+		c.mu.Lock()
+		_, stale := c.entries[prev]
+		cur := c.lineages["base"].Value.(*cacheEntry)
+		c.mu.Unlock()
+		if stale {
+			t.Fatalf("update %d: superseded entry %q still cached", seq, prev)
+		}
+		if cur != next || next.bytes != next.eng.ArenaBytes() {
+			t.Fatalf("update %d: lineage entry %p charged %d, want %p charged its ArenaBytes %d",
+				seq, cur, cur.bytes, next, next.eng.ArenaBytes())
+		}
+		if entries, bytes := c.Stats(); entries != 1 || bytes != next.eng.ArenaBytes() {
+			t.Fatalf("update %d: Stats = (%d, %d), want (1, %d)", seq, entries, bytes, next.eng.ArenaBytes())
+		}
+		prev = next.digest
 	}
 }
 
