@@ -162,34 +162,6 @@ func BenchmarkAblationLazy(b *testing.B) {
 	}
 }
 
-// BenchmarkApplyVolume measures an in-place volume-drift delta: rescaling
-// a third of the fixture's flow volumes on a standing engine, the hot op
-// of the serving layer's /v1/update path. The batch alternates between the
-// drifted and original volumes so the engine cycles between two states.
-func BenchmarkApplyVolume(b *testing.B) {
-	p := dublinProblem(b, 7)
-	e, err := NewEngine(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var drift, restore []FlowUpdate
-	for i := 0; i < p.Flows.Len(); i += 3 {
-		f := p.Flows.At(i)
-		drift = append(drift, FlowUpdate{Op: OpSetVolume, Flow: i, Volume: f.Volume * 1.5})
-		restore = append(restore, FlowUpdate{Op: OpSetVolume, Flow: i, Volume: f.Volume})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		batch := drift
-		if i%2 == 1 {
-			batch = restore
-		}
-		if _, err := e.Apply(batch); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkEvaluate measures a single placement evaluation, the inner loop
 // of every experiment trial.
 func BenchmarkEvaluate(b *testing.B) {

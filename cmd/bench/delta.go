@@ -18,7 +18,7 @@ import (
 // Dublin fixture, each both ways:
 //
 //   - volume drift: re-scaled daily volumes on a handful of flows
-//     (rush hour), the common case the in-place gain rescale optimizes;
+//     (rush hour), the common case the per-flow gain rewrite optimizes;
 //   - add/remove churn: a new flow appears and an old one disappears
 //     (a route change), exercising the CSR row edit and reshard guard.
 //
@@ -213,41 +213,6 @@ func runDelta(w io.Writer, opt options) error {
 	if _, err := measureDrift(w, report, "add_remove", base, warm, churnOps); err != nil {
 		return err
 	}
-
-	// Raw in-place Apply on a private engine, no re-solve: the floor the
-	// serve layer's update path sits on. The two batches undo each other
-	// volume-wise, so the engine cycles between two states instead of
-	// drifting off to infinity across iterations.
-	own, err := roadside.NewEngine(p)
-	if err != nil {
-		return fmt.Errorf("apply engine: %w", err)
-	}
-	restore := make([]roadside.FlowUpdate, len(volOps))
-	for i, op := range volOps {
-		restore[i] = roadside.FlowUpdate{
-			Op: roadside.OpSetVolume, Flow: op.Flow, Volume: p.Flows.At(op.Flow).Volume,
-		}
-	}
-	applyRes := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			batch := volOps
-			if i%2 == 1 {
-				batch = restore
-			}
-			if _, err := own.Apply(batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	if applyRes.N == 0 {
-		return fmt.Errorf("apply benchmark failed to run")
-	}
-	applyNs := float64(applyRes.T.Nanoseconds()) / float64(applyRes.N)
-	report.Add(benchio.Entry{
-		Name: "apply_inplace_volume", NsPerOp: applyNs, Iterations: applyRes.N,
-		AllocsPerOp: applyRes.AllocsPerOp(), BytesPerOp: applyRes.AllocedBytesPerOp(),
-	})
-	fmt.Fprintf(w, "  %-24s %14.0f ns/op   (no re-solve)\n", "apply_inplace_volume", applyNs)
 
 	if opt.out != "" {
 		if err := benchio.Write(opt.out, report); err != nil {

@@ -274,10 +274,10 @@ func TestRunFullIncludesFigures(t *testing.T) {
 }
 
 // TestRunDelta drives the -delta suite: the rebuild/delta entry pairs for
-// both drift shapes, the raw in-place apply entry, and the >=10x
-// volume-drift gate, which it also pins as passing. Each timing window
-// runs 50ms: at 5ms a window under -race on 2 cores held a few delta
-// iterations, so one lost scheduler slice could drop the ratio below 10x.
+// both drift shapes and the >=10x volume-drift gate, which it also pins
+// as passing. Each timing window runs 50ms: at 5ms a window under -race
+// on 2 cores held a few delta iterations, so one lost scheduler slice
+// could drop the ratio below 10x.
 func TestRunDelta(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real benchmarks")
@@ -295,7 +295,6 @@ func TestRunDelta(t *testing.T) {
 	for _, name := range []string{
 		"rebuild_volume_drift", "delta_volume_drift",
 		"rebuild_add_remove", "delta_add_remove",
-		"apply_inplace_volume",
 	} {
 		e, ok := rep.Lookup(name)
 		if !ok {

@@ -11,7 +11,6 @@ package baseline
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -108,24 +107,4 @@ func appendSample(dst, pool []graph.NodeID, k int, rng *rand.Rand) []graph.NodeI
 		dst = append(dst, v)
 	}
 	return dst
-}
-
-// ByName returns a named baseline solver. Random requires the rng argument;
-// the others ignore it. Recognized names: "maxcardinality", "maxvehicles",
-// "maxcustomers", "random".
-func ByName(name string, rng *rand.Rand) (func(*core.Engine) (*core.Placement, error), error) {
-	switch name {
-	case "maxcardinality":
-		return MaxCardinality, nil
-	case "maxvehicles":
-		return MaxVehicles, nil
-	case "maxcustomers":
-		return MaxCustomers, nil
-	case "random":
-		return func(e *core.Engine) (*core.Placement, error) {
-			return Random(e, rng)
-		}, nil
-	default:
-		return nil, fmt.Errorf("baseline: unknown algorithm %q", name)
-	}
 }

@@ -143,27 +143,6 @@ func TestRandomNilRNG(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	e := fig4Engine(t, utility.Linear{D: 6})
-	for _, name := range []string{"maxcardinality", "maxvehicles", "maxcustomers", "random"} {
-		solver, err := ByName(name, rng)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		pl, err := solver(e)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(pl.Nodes) != 2 {
-			t.Errorf("%s placed %d nodes", name, len(pl.Nodes))
-		}
-	}
-	if _, err := ByName("oracle", rng); err == nil {
-		t.Error("unknown baseline accepted")
-	}
-}
-
 // Greedy must dominate every baseline on any instance (it is at least as
 // good step by step for the same engine); verify statistically.
 func TestGreedyDominatesBaselines(t *testing.T) {

@@ -46,20 +46,6 @@ func (c Class) String() string {
 	}
 }
 
-// ByName parses a class name.
-func ByName(name string) (Class, error) {
-	switch name {
-	case "center":
-		return Center, nil
-	case "city":
-		return City, nil
-	case "suburb":
-		return Suburb, nil
-	default:
-		return 0, fmt.Errorf("classify: unknown class %q", name)
-	}
-}
-
 // Classification assigns every intersection to a stratum.
 type Classification struct {
 	classOf []Class

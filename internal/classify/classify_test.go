@@ -129,15 +129,11 @@ func TestSample(t *testing.T) {
 	}
 }
 
-func TestByNameAndString(t *testing.T) {
-	for _, c := range []Class{Center, City, Suburb} {
-		got, err := ByName(c.String())
-		if err != nil || got != c {
-			t.Errorf("ByName(%s) = %v, %v", c, got, err)
+func TestClassString(t *testing.T) {
+	for c, want := range map[Class]string{Center: "center", City: "city", Suburb: "suburb"} {
+		if got := c.String(); got != want {
+			t.Errorf("Class(%d).String() = %q, want %q", int(c), got, want)
 		}
-	}
-	if _, err := ByName("village"); err == nil {
-		t.Error("unknown class accepted")
 	}
 	if Class(9).String() != "class(9)" {
 		t.Error("unknown class string")

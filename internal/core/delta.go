@@ -22,7 +22,7 @@ import (
 // single pruned many-to-many group. Nothing else moves.
 //
 // The contract pinned by the delta-identity invariant is strict: after any
-// update sequence the mutated engine must equal NewEngine(ApplyToProblem(p,
+// update sequence the derived engine must equal NewEngine(ApplyToProblem(p,
 // ops)) at Float64bits granularity — fingerprint, placements, step gains,
 // and prefix objectives. Bit-identity survives because every recomputed
 // value is produced by the same pure function on the same bit patterns a
@@ -122,7 +122,7 @@ func volumeFlow(flows FlowList, op FlowUpdate) (flow.Flow, error) {
 
 // ApplyToProblem returns a copy of p with ops applied to its flow set. It
 // is the delta layer's oracle: NewEngine(ApplyToProblem(p, ops)) must equal
-// an engine mutated by Apply(ops) bit for bit, and the delta-identity
+// the engine ApplyCopy(ops) derives bit for bit, and the delta-identity
 // invariant holds the two together.
 func ApplyToProblem(p *Problem, ops []FlowUpdate) (*Problem, error) {
 	if err := p.Validate(); err != nil {
@@ -144,37 +144,22 @@ func ApplyToProblem(p *Problem, ops []FlowUpdate) (*Problem, error) {
 	return &cp, nil
 }
 
-// Apply mutates the engine in place so that it matches a fresh build of
-// ApplyToProblem(e.Problem(), ops), returning the sorted distinct nodes
-// whose visit buckets changed (the inputs Warm.Refresh needs). The whole
-// batch is validated before any arena is touched, so on error the engine
-// is unchanged. Apply requires exclusive ownership of the engine for its
-// duration, including the arrays and gain pages it shares with engines
-// ApplyCopy derived it from or derived from it; concurrent readers must
-// use ApplyCopy instead. The engine's standalone gains are re-derived
-// from the old ones on first use, re-scoring only the touched candidates
-// (see warm.go).
-func (e *Engine) Apply(ops []FlowUpdate) ([]graph.NodeID, error) {
-	touched, err := e.applyOps(ops, false)
-	if err != nil {
-		return nil, err
-	}
-	e.sa = e.sa.inherit(touched)
-	return touched, nil
-}
-
-// ApplyCopy is Apply for shared engines: it returns a derived engine with
-// ops applied while leaving the receiver fully intact for concurrent
-// readers. Untouched data is shared between the two engines (copy on
-// write: whole arrays, except the gain arena, which is copied by page), so
-// a volume update clones only its shard's page table and the gain pages
-// holding its flows' visits, or the whole gain arena when those pages hold
-// most of it. The derived engine inherits the receiver's standalone gains
-// as Apply does.
+// ApplyCopy is the one way an engine takes a flow update. It returns a
+// derived engine equal to a fresh build of ApplyToProblem(e.Problem(), ops)
+// and the sorted distinct nodes whose visit buckets changed (the inputs
+// Warm.Refresh needs), leaving the receiver intact for concurrent readers.
+// The whole batch is validated before anything is built, so on error
+// nothing is derived. Untouched data is shared between the two engines
+// (copy on write: whole arrays, except the gain arena, which is copied by
+// page), so a volume update clones only its shard's page table and the
+// gain pages holding its flows' visits, or the whole gain arena when those
+// pages hold most of it. The derived engine's standalone gains are
+// re-derived from the receiver's on first use, re-scoring only the
+// touched candidates (see warm.go).
 func (e *Engine) ApplyCopy(ops []FlowUpdate) (*Engine, []graph.NodeID, error) {
 	cp := *e
 	cp.shards = append([]arenaShard(nil), e.shards...)
-	touched, err := cp.applyOps(ops, true)
+	touched, err := cp.applyOps(ops)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -182,9 +167,9 @@ func (e *Engine) ApplyCopy(ops []FlowUpdate) (*Engine, []graph.NodeID, error) {
 	return &cp, touched, nil
 }
 
-// deltaMut carries the per-batch mutation state: the evolving flow slice
-// and visit counts, the touched nodes, and — under copy-on-write — which
-// of each shard's in-place-written data has been cloned already.
+// deltaMut carries the per-batch mutation state of a derived engine: the
+// evolving flow slice and visit counts, the touched nodes, and which of
+// each shard's data the batch has cloned or reallocated already.
 type deltaMut struct {
 	e      *Engine
 	flows  []flow.Flow
@@ -193,22 +178,22 @@ type deltaMut struct {
 	// rewritten flow row: n/8 bytes, an eighth of a []bool's.
 	touched []uint64
 
-	cow   bool
-	owned []shardOwned // by shard index; read only under cow
+	owned []shardOwned // by shard index
 }
 
-// shardOwned records what of a shard a copy-on-write batch may write in
-// place: arrays it reallocated or cloned, never ones the receiver shares.
+// shardOwned records which of a shard's arrays the batch may write: ones
+// it reallocated or cloned, never ones the receiver shares.
 type shardOwned struct {
 	flow  bool     // visitFlow was cloned or reallocated
 	gains bool     // visitGain was cloned or reallocated, and the shard has no page table
 	pages []uint64 // else the bitset of gain pages the batch cloned; nil until the page table is copied
 }
 
-// applyOps validates the whole batch, then mutates e's arenas op by op and
-// finally swaps in the mutated problem. cow=true forbids writing any array
-// the receiver shared with the pre-copy engine.
-func (e *Engine) applyOps(ops []FlowUpdate, cow bool) ([]graph.NodeID, error) {
+// applyOps validates the whole batch, then rewrites e's arenas op by op and
+// finally swaps in the updated problem. e is the fresh copy ApplyCopy made,
+// so every array it still shares with the receiver is cloned before its
+// first write.
+func (e *Engine) applyOps(ops []FlowUpdate) ([]graph.NodeID, error) {
 	if len(e.shards) == 0 {
 		return nil, fmt.Errorf("core: delta update on zero-value engine")
 	}
@@ -224,7 +209,7 @@ func (e *Engine) applyOps(ops []FlowUpdate, cow bool) ([]graph.NodeID, error) {
 
 	// A batch of pure volume ops leaves every path untouched, so the new
 	// flow set can share the old one's node-incidence index instead of
-	// rebuilding it — the dominant cost of a volume-drift Apply.
+	// rebuilding it — the dominant cost of a volume drift.
 	volumeOnly := true
 	for _, op := range ops {
 		if op.Op != OpSetVolume {
@@ -241,13 +226,12 @@ func (e *Engine) applyOps(ops []FlowUpdate, cow bool) ([]graph.NodeID, error) {
 		e:       e,
 		flows:   e.p.Flows.Flows(),
 		touched: make([]uint64, (e.p.Graph.NumNodes()+63)/64),
-		cow:     cow,
 		owned:   make([]shardOwned, len(e.shards)),
 	}
-	if !volumeOnly {
-		m.counts = e.flowCounts()
-	} else if cow {
+	if volumeOnly {
 		m.flattenCrowded(ops)
+	} else {
+		m.counts = e.flowCounts()
 	}
 	for i, op := range ops {
 		if err := m.applyOne(op); err != nil {
@@ -337,13 +321,13 @@ func (e *Engine) curBounds() [][2]int {
 	return b
 }
 
-// writableGainPage returns gain page p of shard si. Under copy-on-write a
-// page still shared with the receiver is cloned into the shard's page
-// table first, and on the shard's first such write the table itself is
-// copied (or made); every other page stays shared.
+// writableGainPage returns gain page p of shard si. A page still shared
+// with the receiver is cloned into the shard's page table first, and on
+// the shard's first such write the table itself is copied (or made);
+// every other page stays shared.
 func (m *deltaMut) writableGainPage(si, p int) []float64 {
 	sh := &m.e.shards[si]
-	if o := &m.owned[si]; m.cow && !o.gains {
+	if o := &m.owned[si]; !o.gains {
 		if o.pages == nil {
 			table := make([][]float64, sh.numGainPages())
 			copy(table, sh.gainPages)
@@ -359,10 +343,10 @@ func (m *deltaMut) writableGainPage(si, p int) []float64 {
 }
 
 // writableVisitFlow returns shard si's visitFlow array, cloning it first
-// when the batch runs copy-on-write and the array is still shared.
+// while it is still shared with the receiver.
 func (m *deltaMut) writableVisitFlow(si int) []int32 {
 	sh := &m.e.shards[si]
-	if o := &m.owned[si]; m.cow && !o.flow {
+	if o := &m.owned[si]; !o.flow {
 		sh.visitFlow = slices.Clone(sh.visitFlow)
 		o.flow = true
 	}
@@ -370,15 +354,15 @@ func (m *deltaMut) writableVisitFlow(si int) []int32 {
 }
 
 // markFresh records that shard si's arrays were wholly reallocated by this
-// batch and are safe for further in-place writes.
+// batch, so its later ops write them directly.
 func (m *deltaMut) markFresh(si int) { m.owned[si] = shardOwned{flow: true, gains: true} }
 
-// flattenCrowded runs before a copy-on-write volume batch. Clones pile up
+// flattenCrowded runs before every volume-only batch. Clones pile up
 // along a lineage, each shadowing gains that the shared visitGain still
 // holds, so on every shard where the gains in its table's clones and on
 // the pages the batch will clone would reach half the shard's gains, it
 // flattens the shard: one visitGain of its own and no table, which the
-// batch then writes in place. What an engine holds beyond its ArenaBytes
+// batch then writes directly. What an engine holds beyond its ArenaBytes
 // charge thus stays below half a gain arena plus the table, and a batch
 // that writes most of a small shard copies it in one piece.
 func (m *deltaMut) flattenCrowded(ops []FlowUpdate) {

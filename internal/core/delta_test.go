@@ -98,9 +98,10 @@ func assertDeltaMatchesFresh(t *testing.T, delta, fresh *Engine) {
 	}
 }
 
-// TestDeltaIdentity is the core contract: Apply(ops) on a live engine
-// equals a fresh build of ApplyToProblem(p, ops) bit for bit — arenas,
-// fingerprints, all four solvers' placements, and prefix objectives.
+// TestDeltaIdentity is the core contract: ApplyCopy(ops) on a live engine
+// derives one equal to a fresh build of ApplyToProblem(p, ops) bit for
+// bit — arenas, fingerprints, all four solvers' placements, and prefix
+// objectives.
 func TestDeltaIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(4711))
 	for trial := 0; trial < 8; trial++ {
@@ -119,22 +120,22 @@ func TestDeltaIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		touched, err := eng.Apply(ops)
+		next, touched, err := eng.ApplyCopy(ops)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(touched) == 0 {
-			t.Fatal("Apply reported no touched nodes")
+			t.Fatal("ApplyCopy reported no touched nodes")
 		}
 		for i := 1; i < len(touched); i++ {
 			if touched[i-1] >= touched[i] {
 				t.Fatalf("touched nodes not sorted distinct: %v", touched)
 			}
 		}
-		if eng.Problem().Flows.Len() != mutated.Flows.Len() {
-			t.Fatalf("flow count %d after Apply, want %d", eng.Problem().Flows.Len(), mutated.Flows.Len())
+		if next.Problem().Flows.Len() != mutated.Flows.Len() {
+			t.Fatalf("flow count %d after ApplyCopy, want %d", next.Problem().Flows.Len(), mutated.Flows.Len())
 		}
-		assertDeltaMatchesFresh(t, eng, fresh)
+		assertDeltaMatchesFresh(t, next, fresh)
 	}
 }
 
@@ -164,10 +165,11 @@ func TestDeltaIdentitySharded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.Apply(ops); err != nil {
+		next, _, err := eng.ApplyCopy(ops)
+		if err != nil {
 			t.Fatal(err)
 		}
-		assertDeltaMatchesFresh(t, eng, fresh)
+		assertDeltaMatchesFresh(t, next, fresh)
 	}
 }
 
@@ -230,7 +232,7 @@ func TestApplyCopyIsolation(t *testing.T) {
 }
 
 // TestDeltaErrors exercises the validation pass: every structurally bad
-// batch is rejected before any arena mutates, leaving the engine
+// batch is rejected before anything is derived, leaving the engine
 // bit-identical to its pre-call state.
 func TestDeltaErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -255,8 +257,8 @@ func TestDeltaErrors(t *testing.T) {
 		{"unknown op", []FlowUpdate{{Op: UpdateOp(42)}}, ErrBadUpdate},
 	}
 	for _, tc := range cases {
-		if _, err := eng.Apply(tc.ops); err == nil {
-			t.Fatalf("%s: Apply succeeded, want error", tc.name)
+		if _, _, err := eng.ApplyCopy(tc.ops); err == nil {
+			t.Fatalf("%s: ApplyCopy succeeded, want error", tc.name)
 		} else if tc.want != nil && !errors.Is(err, tc.want) {
 			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
@@ -267,11 +269,11 @@ func TestDeltaErrors(t *testing.T) {
 	// A path that is not a walk of the graph must be rejected.
 	badPath := []graph.NodeID{graph.NodeID(0), graph.NodeID(0)}
 	f := flow.Flow{ID: "bad", Path: badPath, Volume: 1, Alpha: 0.5}
-	if _, err := eng.Apply([]FlowUpdate{{Op: OpAddFlow, Add: f}}); err == nil {
+	if _, _, err := eng.ApplyCopy([]FlowUpdate{{Op: OpAddFlow, Add: f}}); err == nil {
 		t.Fatal("self-loop add path accepted")
 	}
 	if eng.Fingerprint() != before {
-		t.Fatal("failed Apply mutated the engine")
+		t.Fatal("failed ApplyCopy mutated the engine")
 	}
 }
 
@@ -299,10 +301,11 @@ func TestWarmLazyIdentity(t *testing.T) {
 
 		for step := 0; step < 4; step++ {
 			ops := randomOps(t, rng, eng.Problem(), 1+rng.Intn(3))
-			touched, err := eng.Apply(ops)
+			next, touched, err := eng.ApplyCopy(ops)
 			if err != nil {
 				t.Fatal(err)
 			}
+			eng = next
 			warm.Refresh(eng, touched)
 			cold, err := GreedyLazy(eng)
 			if err != nil {

@@ -25,11 +25,10 @@ import (
 // evaluation and marginal-gain scans are branch-light float loops with no
 // utility-interface dispatch.
 //
-// An Engine is immutable after construction and safe for concurrent use,
-// with one exception: Apply mutates the arenas in place and requires
-// exclusive ownership for its duration. ApplyCopy is the concurrent-safe
-// variant — it leaves the receiver untouched and returns a derived engine
-// sharing every unmodified arena (see delta.go).
+// An Engine is immutable after construction and safe for concurrent use.
+// A flow update goes through ApplyCopy, which leaves the receiver
+// untouched and returns a derived engine sharing every unmodified arena
+// (see delta.go).
 type Engine struct {
 	p *Problem
 

@@ -75,10 +75,10 @@ type VisitWeigher interface {
 	Weight(flow int, v graph.NodeID) float64
 }
 
-// ErrModelUpdate reports a delta update (Apply/ApplyCopy) on an engine
-// built with an objective model. Model weights may couple flows through
-// shared state (a capacity model's per-node demand depends on every
-// flow's volume), so in-place arena rescaling is unsound; callers must
+// ErrModelUpdate reports a delta update (ApplyCopy) on an engine built
+// with an objective model. Model weights may couple flows through shared
+// state (a capacity model's per-node demand depends on every flow's
+// volume), so per-flow arena rescaling is unsound; callers must
 // rebuild via ApplyToProblem + NewEngine instead.
 var ErrModelUpdate = errors.New("core: delta updates require the paper objective (Problem.Model == nil)")
 

@@ -243,9 +243,9 @@ func TestModelDigest(t *testing.T) {
 	}
 }
 
-// TestModelDeltaRejected: the delta layer's in-place flow updates assume
-// the additive objective; model engines must refuse them loudly rather
-// than corrupt banks.
+// TestModelDeltaRejected: the delta layer's per-flow updates assume the
+// additive objective; model engines must refuse them loudly rather than
+// corrupt banks.
 func TestModelDeltaRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	p := randomProblem(t, rng, 20, 10, 2, utility.Linear{D: 50})
@@ -255,9 +255,6 @@ func TestModelDeltaRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	up := []FlowUpdate{{Flow: 0, Volume: 5}}
-	if _, err := e.Apply(up); !errors.Is(err, ErrModelUpdate) {
-		t.Errorf("Apply: err = %v, want ErrModelUpdate", err)
-	}
 	if _, _, err := e.ApplyCopy(up); !errors.Is(err, ErrModelUpdate) {
 		t.Errorf("ApplyCopy: err = %v, want ErrModelUpdate", err)
 	}

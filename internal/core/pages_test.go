@@ -70,10 +70,12 @@ func sharedPages(a, b *Engine) (shared, pages int) {
 //     clone by page);
 //   - a drift of every flow (it clones pages until they would hold half
 //     the shard's gains, then flattens the shard);
-//   - batches with an add or a remove (they rebuild the shard).
+//   - batches with an add or a remove (they rebuild the shard);
+//   - a grandchild drift on pages disjoint from its parent's drift, which
+//     that parent still shares with the root.
 //
-// The parent's fingerprint and placements must not move, and every
-// derived engine must equal a fresh build of its problem at Float64bits.
+// The root's fingerprint and placements must not move, and every derived
+// engine must equal a fresh build of its problem at Float64bits.
 // Under -race this also fails on any write to a shared page.
 func TestApplyCopyPageIsolation(t *testing.T) {
 	p, edge := cowFixture(t)
@@ -130,8 +132,8 @@ func TestApplyCopyPageIsolation(t *testing.T) {
 	for f := range every {
 		every[f] = f
 	}
-	const sparseChildren, dense = 4, 4
-	batches := make([][][]FlowUpdate, 7) // per child: its batch, then its grandchild's
+	const sparseChildren, dense, disjoint = 4, 4, 7
+	batches := make([][][]FlowUpdate, 8) // per child: its batch, then its grandchild's
 	for c := range batches {
 		batches[c] = [][]FlowUpdate{sparse(), sparse()}
 	}
@@ -142,6 +144,8 @@ func TestApplyCopyPageIsolation(t *testing.T) {
 	}
 	batches[5][0] = append([]FlowUpdate{{Op: OpAddFlow, Add: add}}, batches[5][0]...)
 	batches[6][1] = append(batches[6][1], FlowUpdate{Op: OpRemoveFlow, Flow: edge[1]})
+	// edge[:2] visit pages 0 and 1 only, edge[2:4] pages 2, 3 and the last.
+	batches[disjoint] = [][]FlowUpdate{drift(edge[:2]), drift(edge[2:4])}
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 4*len(solvers)+len(batches))
@@ -196,6 +200,15 @@ func TestApplyCopyPageIsolation(t *testing.T) {
 	}
 	if d := &derived[dense][0].shards[0]; d.gainPages != nil || &d.visitGain[0] == &parent.shards[0].visitGain[0] {
 		t.Errorf("dense child keeps a page table (%v) or its parent's gains, want a flat copy of its own", d.gainPages != nil)
+	}
+	for _, f := range edge[2:4] {
+		lo, hi := sh.flowRange(f)
+		for _, v := range sh.flowNode[lo:hi] {
+			pg := int(v) >> gainPageShift
+			if &derived[disjoint][0].shards[0].gainPage(pg)[0] != &sh.gainPage(pg)[0] {
+				t.Errorf("disjoint child does not share page %d with the root", pg)
+			}
+		}
 	}
 
 	for c, chain := range derived {

@@ -26,12 +26,13 @@ func sameGains(got, want []float64) error {
 }
 
 // checkStandaloneChain drives one engine family through steps random
-// update batches, alternating Apply and ApplyCopy, and after each batch
-// compares the vector the engine derives with a serial scan of a fresh
-// build of the updated problem. Rolls decide whether each engine computes
-// its vector at all, so children inherit a computed vector or nothing in
-// turn; the lazy placement read from the derived vector must equal the
-// fresh engine's.
+// ApplyCopy batches, each child deriving from the last, and after each
+// batch compares the vector the engine derives with a serial scan of a
+// fresh build of the updated problem. Rolls decide whether each engine
+// computes its vector at all, so children inherit a computed vector or
+// nothing in turn; the lazy placement read from the derived vector must
+// equal the fresh engine's. A roll per step also pins the receiver's
+// fingerprint across the update.
 func checkStandaloneChain(t *testing.T, rng *rand.Rand, p *Problem, budget, steps int) {
 	t.Helper()
 	e, err := buildEngine(p, 2, budget)
@@ -47,12 +48,16 @@ func checkStandaloneChain(t *testing.T, rng *rand.Rand, p *Problem, budget, step
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rng.Intn(2) == 0 {
-			if _, err := e.Apply(ops); err != nil {
-				t.Fatal(err)
-			}
-		} else if e, _, err = e.ApplyCopy(ops); err != nil {
+		parent, pin := e, rng.Intn(2) == 0
+		var before uint64
+		if pin {
+			before = parent.Fingerprint()
+		}
+		if e, _, err = e.ApplyCopy(ops); err != nil {
 			t.Fatal(err)
+		}
+		if pin && parent.Fingerprint() != before {
+			t.Fatalf("step %d: ApplyCopy changed the receiver's fingerprint", step)
 		}
 		if rng.Intn(3) == 0 {
 			continue // leave the vector uncomputed for the next batch

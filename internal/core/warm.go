@@ -18,11 +18,11 @@ import (
 //
 // Inheritance rule: a flow update changes only the visit buckets of the
 // nodes it reports as touched, so every other candidate's standalone gain
-// is bit-identical before and after. Apply and ApplyCopy therefore hand
-// the child the parent's vector, when it has been computed, plus the
-// touched nodes, and the child derives its vector on first use by copying
-// and re-scoring only the touched candidates' positions. A child of a
-// parent whose vector was never computed starts from nothing.
+// is bit-identical before and after. ApplyCopy therefore hands the child
+// the parent's vector, when it has been computed, plus the touched nodes,
+// and the child derives its vector on first use by copying and re-scoring
+// only the touched candidates' positions. A child of a parent whose vector
+// was never computed starts from nothing.
 //
 // Warm is the exported handle on the same values: an owned copy that a
 // caller can Clone and Refresh across updates itself.
@@ -200,7 +200,7 @@ func (ix *candIndex) nextPos(p int32) int32 {
 // that carry the lazy solver's initial bounds across updates themselves:
 // Refresh re-scores the candidates an update touched, and GreedyLazyWarm
 // starts from the copy instead of the engine's own vector. A Warm follows
-// its engine family through any number of Apply/ApplyCopy steps, since
+// its engine family through any number of ApplyCopy steps, since
 // flow updates never change the candidate list. It is NOT safe for
 // concurrent mutation: Refresh needs exclusive ownership, while
 // GreedyLazyWarm only reads.
@@ -224,10 +224,10 @@ func (w *Warm) Clone() *Warm {
 }
 
 // Refresh recomputes the cached bounds of every candidate in touched
-// against engine e (typically the engine an Apply/ApplyCopy just
-// produced, with touched being its reported node set). Nodes that are not
-// candidates are skipped; untouched candidates keep their cached value. A
-// Warm of another candidate list is left as it is.
+// against engine e (typically the engine an ApplyCopy just produced, with
+// touched being its reported node set). Nodes that are not candidates are
+// skipped; untouched candidates keep their cached value. A Warm of another
+// candidate list is left as it is.
 func (w *Warm) Refresh(e *Engine, touched []graph.NodeID) {
 	if len(w.gains) != len(e.cands) || w.candLo != e.candLo {
 		return // another candidate list; GreedyLazyWarm rejects the pair

@@ -37,34 +37,6 @@ func (l Polyline) Walk(d float64) (Point, error) {
 	return l[len(l)-1], nil
 }
 
-// Resample returns points spaced every step feet along the polyline,
-// always including the first and last vertices. A non-positive step
-// returns just the endpoints.
-func (l Polyline) Resample(step float64) ([]Point, error) {
-	if len(l) == 0 {
-		return nil, ErrEmptyPolyline
-	}
-	if len(l) == 1 {
-		return []Point{l[0]}, nil
-	}
-	total := l.Length()
-	//lint:ignore floatcmp zero-length polyline guard; any nonzero length is divisible
-	if step <= 0 || total == 0 {
-		return []Point{l[0], l[len(l)-1]}, nil
-	}
-	n := int(total/step) + 1
-	out := make([]Point, 0, n+1)
-	for d := 0.0; d < total; d += step {
-		p, err := l.Walk(d)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	out = append(out, l[len(l)-1])
-	return out, nil
-}
-
 // BBox returns the bounding box of the polyline's vertices.
 func (l Polyline) BBox() BBox {
 	b := EmptyBBox()

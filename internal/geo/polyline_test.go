@@ -2,7 +2,6 @@ package geo
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 )
 
@@ -47,32 +46,6 @@ func TestPolylineWalk(t *testing.T) {
 	}
 }
 
-func TestPolylineResample(t *testing.T) {
-	l := Polyline{Pt(0, 0), Pt(100, 0)}
-	pts, err := l.Resample(25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 5 {
-		t.Fatalf("Resample count = %d, want 5 (%v)", len(pts), pts)
-	}
-	if pts[0] != Pt(0, 0) || pts[len(pts)-1] != Pt(100, 0) {
-		t.Errorf("endpoints not preserved: %v", pts)
-	}
-	// Degenerate cases.
-	if _, err := (Polyline{}).Resample(10); !errors.Is(err, ErrEmptyPolyline) {
-		t.Errorf("empty Resample err = %v", err)
-	}
-	one, err := Polyline{Pt(1, 2)}.Resample(10)
-	if err != nil || len(one) != 1 {
-		t.Errorf("single vertex: %v %v", one, err)
-	}
-	ends, err := l.Resample(0)
-	if err != nil || len(ends) != 2 {
-		t.Errorf("step<=0: %v %v", ends, err)
-	}
-}
-
 func TestPolylineNearestVertex(t *testing.T) {
 	l := Polyline{Pt(0, 0), Pt(10, 0), Pt(20, 0)}
 	i, d, err := l.NearestVertex(Pt(11, 1))
@@ -81,41 +54,5 @@ func TestPolylineNearestVertex(t *testing.T) {
 	}
 	if _, _, err := (Polyline{}).NearestVertex(Pt(0, 0)); !errors.Is(err, ErrEmptyPolyline) {
 		t.Errorf("empty err = %v", err)
-	}
-}
-
-// Property: resampled points all lie on the polyline (distance to the
-// nearest segment is ~0) and consecutive samples are at most step apart.
-func TestResampleOnCurve(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		l := make(Polyline, 0, 8)
-		cur := Pt(0, 0)
-		for i := 0; i < 8; i++ {
-			cur = cur.Add(Pt(rng.Float64()*100, rng.Float64()*100-50))
-			l = append(l, cur)
-		}
-		step := 10 + rng.Float64()*40
-		pts, err := l.Resample(step)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k, p := range pts {
-			best := 1e18
-			for i := 1; i < len(l); i++ {
-				d, _ := SegmentDistance(p, l[i-1], l[i])
-				if d < best {
-					best = d
-				}
-			}
-			if best > 1e-6 {
-				t.Fatalf("trial %d: sample %d off curve by %v", trial, k, best)
-			}
-			if k > 0 && pts[k-1].Euclidean(p) > step+1e-6 {
-				// Euclidean gap can only be <= arc-length gap == step.
-				t.Fatalf("trial %d: gap %v > step %v", trial,
-					pts[k-1].Euclidean(p), step)
-			}
-		}
 	}
 }

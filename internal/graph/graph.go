@@ -234,16 +234,6 @@ func (g *Graph) Points() []geo.Point {
 	return append([]geo.Point(nil), g.pts...)
 }
 
-// OutDegree returns the number of edges leaving u.
-func (g *Graph) OutDegree(u NodeID) int {
-	return int(g.outOff[u+1] - g.outOff[u])
-}
-
-// InDegree returns the number of edges entering u.
-func (g *Graph) InDegree(u NodeID) int {
-	return int(g.inOff[u+1] - g.inOff[u])
-}
-
 // ForEachOut calls fn for every edge u->v with weight w. Iteration stops if
 // fn returns false.
 func (g *Graph) ForEachOut(u NodeID, fn func(v NodeID, w float64) bool) {

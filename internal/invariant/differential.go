@@ -33,8 +33,8 @@ func init() {
 		"a /v1/batch response is item-for-item bit-identical to sequential /v1/place calls across all four algorithms at mixed budgets",
 		batchSequential, variant{"/v1/batch", batchServed}))
 	register(differential("delta-identity",
-		"applying flow updates (volume drift, add, remove) in place or by copy, plus a warm-started re-solve, is bit-identical to rebuilding the engine from scratch",
-		deltaFresh, variant{"Apply", deltaApplied(false)}, variant{"ApplyCopy", deltaApplied(true)}))
+		"applying flow updates (volume drift, add, remove) by copy, in one batch or split across a child and a grandchild, plus a warm-started re-solve, is bit-identical to rebuilding the engine from scratch and leaves every receiver untouched",
+		deltaFresh, variant{"ApplyCopy", deltaApplied(1)}, variant{"ApplyCopy in two generations", deltaApplied(2)}))
 }
 
 // outcome is what a row's reference and each of its variants produce for
@@ -451,45 +451,48 @@ func deltaFresh(inst *Instance) (*outcome, error) {
 	return deltaOutcome(inst, fresh, lazy, gains)
 }
 
-// deltaApplied updates a private engine (inst.Engine() is shared across
-// checks) in place or by copy, whose receiver must stay untouched. The
-// updated engine's standalone gains are derived from the base engine's,
-// which NewWarm computes; the Warm copy, refreshed with the touched set,
+// deltaApplied derives from a private engine (inst.Engine() is shared
+// across checks) by ApplyCopy, splitting the batch into gens consecutive
+// parts (deltaOps draws at least 3 ops) so that each generation updates
+// the engine the one before derived, page table included. Every receiver
+// must keep its fingerprint. Each generation's standalone gains are
+// derived from its receiver's, which NewWarm or the previous generation
+// computed; the Warm copy, refreshed with each generation's touched set,
 // seeds GreedyLazyWarm for the lazy slot.
-func deltaApplied(copyOnWrite bool) func(*Instance) (*outcome, error) {
+func deltaApplied(gens int) func(*Instance) (*outcome, error) {
 	return func(inst *Instance) (*outcome, error) {
 		ops, err := deltaOps(inst)
 		if err != nil {
 			return nil, err
 		}
-		base, err := deltaBuild(inst, inst.Problem)
+		e, err := deltaBuild(inst, inst.Problem)
 		if err != nil {
 			return nil, err
 		}
-		warm := base.NewWarm()
-		e := base
-		var touched []graph.NodeID
-		if copyOnWrite {
-			baseFp := base.Fingerprint()
-			if e, touched, err = base.ApplyCopy(ops); err != nil {
-				return nil, err
+		warm := e.NewWarm()
+		var gains []float64
+		for g := 0; g < gens; g++ {
+			part := ops[g*len(ops)/gens : (g+1)*len(ops)/gens]
+			fp := e.Fingerprint()
+			next, touched, err := e.ApplyCopy(part)
+			if err != nil {
+				return nil, fmt.Errorf("generation %d: %w", g+1, err)
 			}
-			if got := base.Fingerprint(); got != baseFp {
-				return nil, fmt.Errorf("ApplyCopy mutated its receiver: fingerprint %x -> %x", baseFp, got)
+			if got := e.Fingerprint(); got != fp {
+				return nil, fmt.Errorf("generation %d: ApplyCopy mutated its receiver: fingerprint %x -> %x", g+1, fp, got)
 			}
-		} else if touched, err = base.Apply(ops); err != nil {
-			return nil, err
-		}
-		if len(touched) == 0 {
-			return nil, fmt.Errorf("%d ops reported no touched nodes", len(ops))
-		}
-		for i := 1; i < len(touched); i++ {
-			if touched[i] <= touched[i-1] {
-				return nil, fmt.Errorf("touched nodes not sorted-distinct at %d: %v", i, touched)
+			if len(touched) == 0 {
+				return nil, fmt.Errorf("generation %d: %d ops reported no touched nodes", g+1, len(part))
 			}
+			for i := 1; i < len(touched); i++ {
+				if touched[i] <= touched[i-1] {
+					return nil, fmt.Errorf("generation %d: touched nodes not sorted-distinct at %d: %v", g+1, i, touched)
+				}
+			}
+			e = next
+			gains = e.StandaloneGains()
+			warm.Refresh(e, touched)
 		}
-		gains := e.StandaloneGains()
-		warm.Refresh(e, touched)
 		lazy, err := core.GreedyLazyWarm(e, warm)
 		if err != nil {
 			return nil, fmt.Errorf("warm lazy: %w", err)

@@ -3,7 +3,6 @@ package lint
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -158,7 +157,7 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-// TestOutputFormats checks the text and JSON renderings.
+// TestOutputFormats checks the text rendering.
 func TestOutputFormats(t *testing.T) {
 	findings := []Finding{{File: "a.go", Line: 3, Column: 2, Check: "floatcmp", Message: "boom"}}
 	var txt bytes.Buffer
@@ -167,27 +166,6 @@ func TestOutputFormats(t *testing.T) {
 	}
 	if got, want := txt.String(), "a.go:3: [floatcmp] boom\n"; got != want {
 		t.Errorf("WriteText = %q, want %q", got, want)
-	}
-
-	var js bytes.Buffer
-	if err := WriteJSON(&js, findings); err != nil {
-		t.Fatal(err)
-	}
-	var decoded []Finding
-	if err := json.Unmarshal(js.Bytes(), &decoded); err != nil {
-		t.Fatalf("WriteJSON produced invalid JSON: %v", err)
-	}
-	if len(decoded) != 1 || decoded[0].Check != "floatcmp" || decoded[0].Line != 3 {
-		t.Errorf("JSON round-trip = %+v", decoded)
-	}
-
-	// Empty findings must encode as [], not null, so consumers can index.
-	js.Reset()
-	if err := WriteJSON(&js, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.TrimSpace(js.String()); got != "[]" {
-		t.Errorf("WriteJSON(nil) = %q, want []", got)
 	}
 }
 

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/token"
 	"io"
@@ -59,14 +58,4 @@ func WriteText(w io.Writer, findings []Finding) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON prints findings as a JSON array of objects.
-func WriteJSON(w io.Writer, findings []Finding) error {
-	if findings == nil {
-		findings = []Finding{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(findings)
 }

@@ -10,7 +10,7 @@ import (
 
 func TestConfigRoundTrip(t *testing.T) {
 	for _, m := range []model.Objective{
-		model.DefaultProbabilistic(),
+		model.Probabilistic{Reception: 1},
 		model.Probabilistic{Reception: 0.25},
 		model.DefaultResistance(),
 		model.Resistance{Scale: 1234, DenseLimit: 7, Tol: 1e-8, MaxIter: 42},

@@ -15,7 +15,7 @@ import (
 // (every model, default resolution, unknown fields, trailing data).
 func FuzzModelConfig(f *testing.F) {
 	for _, m := range []model.Objective{
-		model.DefaultProbabilistic(),
+		model.Probabilistic{Reception: 1},
 		model.DefaultResistance(),
 		model.DefaultCapacity(),
 	} {

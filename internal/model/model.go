@@ -49,9 +49,6 @@ type Probabilistic struct {
 
 var _ Objective = Probabilistic{}
 
-// DefaultProbabilistic returns the probabilistic model at full reception.
-func DefaultProbabilistic() Probabilistic { return Probabilistic{Reception: 1} }
-
 // Validate checks the model parameters.
 func (m Probabilistic) Validate() error {
 	if math.IsNaN(m.Reception) || m.Reception <= 0 || m.Reception > 1 {

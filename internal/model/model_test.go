@@ -26,13 +26,10 @@ func TestProbabilisticValidate(t *testing.T) {
 			t.Errorf("reception %v: %v", ok, err)
 		}
 	}
-	if err := model.DefaultProbabilistic().Validate(); err != nil {
-		t.Errorf("default: %v", err)
-	}
 }
 
 func TestProbabilisticIdentity(t *testing.T) {
-	m := model.DefaultProbabilistic()
+	m := model.Probabilistic{Reception: 1}
 	if m.Name() != "probabilistic" {
 		t.Errorf("name = %q", m.Name())
 	}
@@ -112,7 +109,7 @@ func TestProbabilisticSingleRAPMatchesPaper(t *testing.T) {
 		t.Fatal(err)
 	}
 	pm := *p
-	pm.Model = model.DefaultProbabilistic()
+	pm.Model = model.Probabilistic{Reception: 1}
 	em, err := core.NewEngine(&pm)
 	if err != nil {
 		t.Fatal(err)

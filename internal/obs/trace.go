@@ -10,10 +10,10 @@ import (
 // TraceSchema versions the JSON trace format.
 const TraceSchema = "roadside-trace/v1"
 
-// defaultSpanLimit bounds a tracer's memory: long experiment runs emit one
+// spanLimit bounds a tracer's memory: long experiment runs emit one
 // span per phase and trial, and a runaway emitter must not grow the trace
 // without bound. Dropped spans are counted and reported in the export.
-const defaultSpanLimit = 16384
+const spanLimit = 16384
 
 // SpanRecord is one completed span. Offsets are relative to the trace
 // start so exported traces are machine-comparable without clock parsing.
@@ -40,7 +40,6 @@ type Tracer struct {
 	started time.Time
 	meta    map[string]string
 	spans   []SpanRecord
-	limit   int
 	dropped int64
 }
 
@@ -49,16 +48,7 @@ func NewTracer() *Tracer {
 	return &Tracer{
 		started: time.Now(),
 		meta:    map[string]string{},
-		limit:   defaultSpanLimit,
 	}
-}
-
-// SetLimit caps the number of retained spans (further spans are counted
-// as dropped). Non-positive n removes the cap.
-func (t *Tracer) SetLimit(n int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.limit = n
 }
 
 // SetMeta attaches a key/value metadata pair to the trace, overwriting
@@ -73,7 +63,7 @@ func (t *Tracer) SetMeta(key, value string) {
 func (t *Tracer) Record(name string, start time.Time, d time.Duration, attrs map[string]string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.limit > 0 && len(t.spans) >= t.limit {
+	if len(t.spans) >= spanLimit {
 		t.dropped++
 		return
 	}

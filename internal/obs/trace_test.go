@@ -46,13 +46,12 @@ func TestTracerSpansAndMeta(t *testing.T) {
 
 func TestTracerSpanLimit(t *testing.T) {
 	tr := NewTracer()
-	tr.SetLimit(3)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < spanLimit+7; i++ {
 		tr.Record("s", time.Now(), 0, nil)
 	}
 	exp := tr.Export()
-	if len(exp.Spans) != 3 {
-		t.Fatalf("retained %d spans, want 3", len(exp.Spans))
+	if len(exp.Spans) != spanLimit {
+		t.Fatalf("retained %d spans, want %d", len(exp.Spans), spanLimit)
 	}
 	if exp.Dropped != 7 {
 		t.Fatalf("dropped = %d, want 7", exp.Dropped)

@@ -18,7 +18,7 @@
 // /v1/update is the delta path: instead of re-sending a whole problem per
 // traffic drift, a client ships the volume changes / flow adds / removes
 // against a digest it got from an earlier response. The cached engine
-// absorbs them in place (core.ApplyCopy, orders of magnitude below a
+// absorbs them as a delta (core.ApplyCopy, orders of magnitude below a
 // rebuild) and the lineage advances to a derived digest base@seq; place,
 // evaluate, and detour accept either the base (latest revision) or a
 // pinned base@seq by reference, with no problem body at all.

@@ -187,11 +187,11 @@ const (
 	OpAddFlow    = core.OpAddFlow
 )
 
-// FlowUpdate is one element of a delta batch; see Engine.Apply.
+// FlowUpdate is one element of a delta batch; see Engine.ApplyCopy.
 type FlowUpdate = core.FlowUpdate
 
 // ApplyToProblem returns a new problem with the update batch applied to
-// the flow set — the build-from-scratch oracle for Engine.Apply.
+// the flow set — the build-from-scratch oracle for Engine.ApplyCopy.
 func ApplyToProblem(p *Problem, ops []FlowUpdate) (*Problem, error) {
 	return core.ApplyToProblem(p, ops)
 }
